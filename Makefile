@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 85.0
 
-.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta ci golden shardcheck soa-identity frontier-identity build386
+.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta ci golden shardcheck exact-identity build386
 
 all: ci
 
@@ -92,19 +92,18 @@ e2e-dist:
 BENCH_FLAGS = -mesh 4x4 -rate 0.12 -inject 300 -post 400 \
 	-drain 5000 -epoch 400 -faults 160 -seed 3 -fig none -progress=false
 
-# The 8x8 throughput rows (BENCH_8x8.json): the paper-scale mesh at its
+# The 8x8 throughput row (BENCH_8x8.json): the paper-scale mesh at its
 # 0.05 injection rate, serial, so the trajectory tracks algorithmic
 # wins (forking, fast-forward, reconvergence, frontier stepping) rather
-# than core count. Each row pins its sweep engine explicitly — rows are
-# only comparable within one engine (the "engine" field in the record).
+# than core count. Rows are only comparable within one engine (the
+# "engine" field in the record: frontier for the default fast engine,
+# exact for -exact).
 BENCH_8X8_FLAGS = -mesh 8x8 -rate 0.05 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 64 -seed 3 -fig none -progress=false
 
 # The gated 16x16 throughput row (BENCH_16x16.json): a small universe
 # on the 16×16 mesh, where the cone-of-influence win is largest. Run
-# via `make bench BENCH_16X16=1` (or the bench CI job, which sets it) —
-# the row is gated because the -no-frontier half takes a while on
-# laptops.
+# via `make bench BENCH_16X16=1` (or the bench CI job, which sets it).
 BENCH_16X16_FLAGS = -mesh 16x16 -rate 0.02 -inject 300 -post 500 \
 	-drain 10000 -epoch 1500 -faults 32 -seed 3 -fig none -progress=false
 
@@ -118,33 +117,21 @@ bench:
 		-trace-spans .bench-spans.ndjson -flight-recorder .bench-flight.ndjson \
 		-benchname campaign-traced -benchjson BENCH_4x4.json
 	rm -f .bench-spans.ndjson .bench-flight.ndjson
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-soa -no-frontier \
-		-benchname campaign-8x8 -benchjson BENCH_8x8.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-frontier \
-		-benchname campaign-8x8-soa -benchjson BENCH_8x8.json
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 \
 		-benchname campaign-8x8-frontier -benchjson BENCH_8x8.json
 	@if [ -n "$(BENCH_16X16)" ]; then \
-		$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -workers 1 -no-frontier \
-			-benchname campaign-16x16-soa -benchjson BENCH_16x16.json && \
 		$(GO) run ./cmd/faultcampaign $(BENCH_16X16_FLAGS) -workers 1 \
 			-benchname campaign-16x16-frontier -benchjson BENCH_16x16.json; \
-	else echo "16x16 rows skipped (set BENCH_16X16=1 to run)"; fi
+	else echo "16x16 row skipped (set BENCH_16X16=1 to run)"; fi
 
 # benchcheck is the perf regression gate: re-run the serial benchmark
 # campaigns and fail if their faults/sec land >30% below the latest
-# committed like-engined row in BENCH_4x4.json (resp. the "campaign-8x8*"
-# rows in BENCH_8x8.json). The campaign-8x8 row keeps measuring the
-# reference engine for trajectory continuity, campaign-8x8-soa gates the
-# structure-of-arrays step loop, and campaign-8x8-frontier gates the
-# divergence-frontier delta engine. Nothing is appended.
+# committed like-engined row in BENCH_4x4.json (resp. the
+# campaign-8x8-frontier row in BENCH_8x8.json). Both gate the default
+# fast engine. Nothing is appended.
 benchcheck:
 	$(GO) run ./cmd/faultcampaign $(BENCH_FLAGS) -workers 1 \
 		-benchbaseline BENCH_4x4.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-soa -no-frontier \
-		-benchname campaign-8x8 -benchbaseline BENCH_8x8.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 -no-frontier \
-		-benchname campaign-8x8-soa -benchbaseline BENCH_8x8.json
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 \
 		-benchname campaign-8x8-frontier -benchbaseline BENCH_8x8.json
 
@@ -161,10 +148,10 @@ benchdelta:
 	done
 	@rm -rf .benchdelta
 
-# golden regenerates the committed fixtures — the 4×4 and 8×8 record
-# fixtures and the full JSON report fixtures the soa-identity gate
-# compares against — after an intentional behaviour change; commit the
-# diff it produces.
+# golden regenerates the committed fixtures — the 4×4, 8×8 and 16×16
+# record fixtures and the full JSON report fixtures the exact-identity
+# gate compares against — after an intentional behaviour change; commit
+# the diff it produces.
 golden:
 	$(GO) test ./internal/campaign -run TestGoldenFixture -update-golden -v
 	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
@@ -172,45 +159,41 @@ golden:
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) \
 		-json testdata/report_8x8_seed3.json
 
-# soa-identity proves the two sweep engines interchangeable: the golden
-# 4×4 and paper-scale 8×8 campaigns run once with the default
-# structure-of-arrays engine and once with -no-soa, and all four JSON
-# reports must be byte-identical to each other and to the committed
-# fixtures. Any sweep-order, skip-condition or mask-maintenance bug
-# fails the cmp.
-soa-identity:
-	rm -rf .soaid && mkdir -p .soaid
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-json .soaid/4x4-soa.json
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-no-soa -json .soaid/4x4-ref.json
-	cmp .soaid/4x4-soa.json .soaid/4x4-ref.json
-	cmp .soaid/4x4-soa.json testdata/report_4x4_seed3.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -json .soaid/8x8-soa.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -no-soa -json .soaid/8x8-ref.json
-	cmp .soaid/8x8-soa.json .soaid/8x8-ref.json
-	cmp .soaid/8x8-soa.json testdata/report_8x8_seed3.json
-	rm -rf .soaid
+# The scale-out pinned campaign behind testdata/golden_16x16_seed3.json
+# (campaign.Golden16x16Spec).
+GOLDEN_16X16_FLAGS = -mesh 16x16 -vcs 4 -rate 0.02 -seed 3 -inject 300 \
+	-post 500 -drain 10000 -epoch 1500 -faults 32
 
-# frontier-identity proves divergence-frontier delta stepping exact:
-# the golden 4×4 and paper-scale 8×8 campaigns run once with the
-# default frontier engine and once with -no-frontier (full-mesh
-# stepping, PR-5 fingerprint probe), and all four JSON reports must be
-# byte-identical to each other and to the committed fixtures. Any
-# missed join, replay-order or materialization bug fails the cmp.
-frontier-identity:
-	rm -rf .frontid && mkdir -p .frontid
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-json .frontid/4x4-frontier.json
-	$(GO) run ./cmd/faultcampaign $(GOLDEN_FLAGS) -fig none -progress=false \
-		-no-frontier -json .frontid/4x4-full.json
-	cmp .frontid/4x4-frontier.json .frontid/4x4-full.json
-	cmp .frontid/4x4-frontier.json testdata/report_4x4_seed3.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -json .frontid/8x8-frontier.json
-	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -no-frontier -json .frontid/8x8-full.json
-	cmp .frontid/8x8-frontier.json .frontid/8x8-full.json
-	cmp .frontid/8x8-frontier.json testdata/report_8x8_seed3.json
-	rm -rf .frontid
+# exact-identity proves the fast engine exact: the golden 4×4 and
+# paper-scale 8×8 campaigns run once on the default fast engine and once
+# with -exact (plain full simulation: no fork, fast path, reconvergence,
+# frontier or fast-forward, reference sweep), and all four JSON reports
+# must be byte-identical to each other and to the committed fixtures.
+# At 16×16 the fast run merges against the committed record fixture and
+# the exact run's report must be byte-identical to the fast one's. (The
+# record fixture also pins each run's fast_path exit flag, which the
+# exact engine never sets, so the exact run is held to it through the
+# fast run.) Any shortcut that changes a result fails a cmp or the merge
+# gate. CI only: it takes about a minute.
+exact-identity:
+	rm -rf .exactid && mkdir -p .exactid
+	$(GO) build -o .exactid/fc ./cmd/faultcampaign
+	.exactid/fc $(GOLDEN_FLAGS) -fig none -progress=false -json .exactid/4x4-fast.json
+	.exactid/fc $(GOLDEN_FLAGS) -fig none -progress=false -exact -json .exactid/4x4-exact.json
+	cmp .exactid/4x4-fast.json .exactid/4x4-exact.json
+	cmp .exactid/4x4-fast.json testdata/report_4x4_seed3.json
+	.exactid/fc $(BENCH_8X8_FLAGS) -json .exactid/8x8-fast.json
+	.exactid/fc $(BENCH_8X8_FLAGS) -exact -json .exactid/8x8-exact.json
+	cmp .exactid/8x8-fast.json .exactid/8x8-exact.json
+	cmp .exactid/8x8-fast.json testdata/report_8x8_seed3.json
+	.exactid/fc $(GOLDEN_16X16_FLAGS) -progress=false \
+		-shard 0/1 -checkpoint .exactid/16x16-fast.ndjson
+	.exactid/fc merge -fig none -golden testdata/golden_16x16_seed3.json \
+		-out .exactid/16x16-fast.json .exactid/16x16-fast.ndjson
+	.exactid/fc $(GOLDEN_16X16_FLAGS) -fig none -progress=false -exact \
+		-json .exactid/16x16-exact.json
+	cmp .exactid/16x16-fast.json .exactid/16x16-exact.json
+	rm -rf .exactid
 
 # build386 is a build-only cross-compile of the whole module for a
 # 32-bit target: the SoA state uses explicitly sized element types

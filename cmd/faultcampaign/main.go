@@ -61,39 +61,33 @@ func main() {
 		return
 	}
 	var (
-		meshSpec   = flag.String("mesh", "8x8", "mesh dimensions WxH")
-		vcs        = flag.Int("vcs", 4, "virtual channels per port")
-		rate       = flag.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
-		inject     = flag.String("inject", "0", "fault-injection cycle, or a comma list (e.g. 0,16000,32000) spread round-robin over the sample (paper: 0 and 32000)")
-		nFaults    = flag.Int("faults", 1000, "fault sample size (0 = all locations)")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		epoch      = flag.Int64("epoch", 1500, "ForEVeR epoch length in cycles")
-		post       = flag.Int64("post", 500, "cycles of continued injection after the fault")
-		drain      = flag.Int64("drain", 10000, "drain deadline in cycles")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		figs       = flag.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs3,obs5 or 'all'")
-		jsonPath   = flag.String("json", "", "also export the aggregated results as JSON to this file")
-		benchOut   = flag.String("benchjson", "", "write a campaign throughput record (faults/sec) as JSON to this file")
-		benchName  = flag.String("benchname", "campaign", "name for the -benchjson record (e.g. campaign-parallel)")
-		benchBase  = flag.String("benchbaseline", "", "compare this run's faults/sec against the latest matching record in FILE; exit non-zero on a >30% regression")
-		noFast     = flag.Bool("nofastpath", false, "disable the early-exit fast path for non-firing faults")
-		noReconv   = flag.Bool("no-reconverge", false, "disable golden-state reconvergence detection (fired faults always simulate their full window)")
-		noFork     = flag.Bool("no-fork", false, "disable injection-point forking (every run simulates its full [0,injection) prefix)")
-		snapInt    = flag.Int64("snapshot-interval", 0, "golden snapshot spacing in cycles (0 = adaptive from the universe's injection-cycle histogram)")
-		noFF       = flag.Bool("no-fastforward", false, "disable frozen-state fast-forwarding of deadlocked drains and idle ForEVeR horizons")
-		noSoA      = flag.Bool("no-soa", false, "use the reference sweep engine (full-range VC sweeps, no inert-router skip); results are byte-identical to the default structure-of-arrays engine")
-		noFrontier = flag.Bool("no-frontier", false, "disable divergence-frontier delta stepping (fired faults step the full mesh every window cycle); results are byte-identical to the default frontier engine")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		progress   = flag.Bool("progress", true, "print campaign progress to stderr")
-		telAddr    = flag.String("telemetry", "", "serve live telemetry on this address (pprof at /debug/pprof/, expvar at /debug/vars, metrics at /metricsz, OpenMetrics at /metrics)")
-		traceOut   = flag.String("trace", "", "stream one NDJSON record per completed fault run to this file")
-		spanOut    = flag.String("trace-spans", "", "stream campaign/run/phase spans as NDJSON to this file")
-		otlpOut    = flag.String("spans-otlp", "", "write the completed spans as an OTLP/JSON dump to this file (implies span retention)")
-		spanN      = flag.Int("span-sample", 1, "record every Nth run's spans (campaign-level spans are always recorded)")
-		frOut      = flag.String("flight-recorder", "", "record recent campaign events in a bounded ring, dumped to this file on anomalies and at campaign end")
-		shardStr   = flag.String("shard", "", "run only shard i/N of the campaign (0-based, e.g. 0/4) against a resumable checkpoint; requires -checkpoint")
-		ckptPath   = flag.String("checkpoint", "", "shard checkpoint file (NDJSON); an existing one is resumed, a finished one is a no-op")
-		verifyN    = flag.Int("verify-resumed", 0, "recorded runs to re-execute and compare when resuming a checkpoint (0 = default sample, -1 = none)")
+		meshSpec  = flag.String("mesh", "8x8", "mesh dimensions WxH")
+		vcs       = flag.Int("vcs", 4, "virtual channels per port")
+		rate      = flag.Float64("rate", 0.05, "injection rate (flits/node/cycle)")
+		inject    = flag.String("inject", "0", "fault-injection cycle, or a comma list (e.g. 0,16000,32000) spread round-robin over the sample (paper: 0 and 32000)")
+		nFaults   = flag.Int("faults", 1000, "fault sample size (0 = all locations)")
+		seed      = flag.Uint64("seed", 1, "random seed")
+		epoch     = flag.Int64("epoch", 1500, "ForEVeR epoch length in cycles")
+		post      = flag.Int64("post", 500, "cycles of continued injection after the fault")
+		drain     = flag.Int64("drain", 10000, "drain deadline in cycles")
+		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		figs      = flag.String("fig", "all", "figures to print: comma list of 6,7,8,9,obs3,obs5 or 'all'")
+		jsonPath  = flag.String("json", "", "also export the aggregated results as JSON to this file")
+		benchOut  = flag.String("benchjson", "", "write a campaign throughput record (faults/sec) as JSON to this file")
+		benchName = flag.String("benchname", "campaign", "name for the -benchjson record (e.g. campaign-parallel)")
+		benchBase = flag.String("benchbaseline", "", "compare this run's faults/sec against the latest matching record in FILE; exit non-zero on a >30% regression")
+		exact     = flag.Bool("exact", false, "run on the exact engine: no fork, fast path, reconvergence, frontier or fast-forward, and the reference sweep on every router; reports are byte-identical to the default fast engine's")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
+		progress  = flag.Bool("progress", true, "print campaign progress to stderr")
+		telAddr   = flag.String("telemetry", "", "serve live telemetry on this address (pprof at /debug/pprof/, expvar at /debug/vars, metrics at /metricsz, OpenMetrics at /metrics)")
+		traceOut  = flag.String("trace", "", "stream one NDJSON record per completed fault run to this file")
+		spanOut   = flag.String("trace-spans", "", "stream campaign/run/phase spans as NDJSON to this file")
+		otlpOut   = flag.String("spans-otlp", "", "write the completed spans as an OTLP/JSON dump to this file (implies span retention)")
+		spanN     = flag.Int("span-sample", 1, "record every Nth run's spans (campaign-level spans are always recorded)")
+		frOut     = flag.String("flight-recorder", "", "record recent campaign events in a bounded ring, dumped to this file on anomalies and at campaign end")
+		shardStr  = flag.String("shard", "", "run only shard i/N of the campaign (0-based, e.g. 0/4) against a resumable checkpoint; requires -checkpoint")
+		ckptPath  = flag.String("checkpoint", "", "shard checkpoint file (NDJSON); an existing one is resumed, a finished one is a no-op")
+		verifyN   = flag.Int("verify-resumed", 0, "recorded runs to re-execute and compare when resuming a checkpoint (0 = default sample, -1 = none)")
 	)
 	flag.Parse()
 
@@ -112,7 +106,7 @@ func main() {
 	}
 	rc := nocalert.DefaultRouterConfig(mesh)
 	rc.VCs = *vcs
-	simCfg := nocalert.SimConfig{Router: rc, InjectionRate: *rate, Seed: *seed, DisableSoA: *noSoA}
+	simCfg := nocalert.SimConfig{Router: rc, InjectionRate: *rate, Seed: *seed}
 	params := nocalert.FaultParamsFor(&rc)
 
 	if *cpuProf != "" {
@@ -251,17 +245,11 @@ func main() {
 			spec.InjectCycles = cycles
 		}
 		sro := nocalert.CampaignShardRunOptions{
-			Workers:              *workers,
-			DisableFastPath:      *noFast,
-			DisableReconvergence: *noReconv,
-			DisableFork:          *noFork,
-			SnapshotInterval:     *snapInt,
-			DisableFastForward:   *noFF,
-			DisableSoA:           *noSoA,
-			DisableFrontier:      *noFrontier,
-			VerifyResumed:        *verifyN,
-			Tracer:               tracer,
-			FlightRecorder:       flightRec,
+			Workers:         *workers,
+			DisableFastPath: *exact,
+			VerifyResumed:   *verifyN,
+			Tracer:          tracer,
+			FlightRecorder:  flightRec,
 		}
 		if err := runShardMode(ctx, spec, *shardStr, *ckptPath, sro, *progress, reg); err != nil {
 			log.Fatal(err)
@@ -297,25 +285,20 @@ func main() {
 	}
 	start := time.Now()
 	rep, err := nocalert.RunCampaign(nocalert.CampaignOptions{
-		Sim:                  simCfg,
-		InjectCycle:          cycles[0],
-		PostInjectRun:        *post,
-		DrainDeadline:        *drain,
-		Forever:              nocalert.ForeverOptions{Epoch: *epoch, HopLatency: 1},
-		Faults:               faults,
-		Workers:              *workers,
-		DisableFastPath:      *noFast,
-		DisableReconvergence: *noReconv,
-		DisableFork:          *noFork,
-		SnapshotInterval:     *snapInt,
-		DisableFastForward:   *noFF,
-		DisableFrontier:      *noFrontier,
-		Progress:             report,
-		Metrics:              reg,
-		OnResult:             onResult,
-		Context:              ctx,
-		Tracer:               tracer,
-		FlightRecorder:       flightRec,
+		Sim:             simCfg,
+		InjectCycle:     cycles[0],
+		PostInjectRun:   *post,
+		DrainDeadline:   *drain,
+		Forever:         nocalert.ForeverOptions{Epoch: *epoch, HopLatency: 1},
+		Faults:          faults,
+		Workers:         *workers,
+		DisableFastPath: *exact,
+		Progress:        report,
+		Metrics:         reg,
+		OnResult:        onResult,
+		Context:         ctx,
+		Tracer:          tracer,
+		FlightRecorder:  flightRec,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -335,7 +318,7 @@ func main() {
 		len(rep.Results), wall.Round(time.Millisecond), rep.FiredCount(), rep.MaliciousCount(), rep.FastPathHits, rep.ReconvergedHits,
 		rep.ForkedRuns, rep.WarmstartCyclesSaved, rep.SynthesizedCycles)
 
-	engine := engineName(*noSoA, *noFrontier || *noFast || *noReconv)
+	engine := engineName(*exact)
 	if *benchOut != "" {
 		if err := writeBenchRecord(*benchOut, *benchName, engine, *meshSpec, rep, *workers, wall); err != nil {
 			log.Fatal(err)
@@ -475,24 +458,20 @@ func serveTelemetry(addr string, reg *nocalert.MetricsRegistry) (string, error) 
 	return ln.Addr().String(), nil
 }
 
-// engineName names the sweep engine a run's flag combination resolves
-// to, for tagging -benchjson rows: the frontier rides on the fast path
-// and reconvergence machinery, so disabling either demotes the run to
-// the plain per-cycle engine (soa or reference per the -no-soa flag).
-func engineName(noSoA, frontierOff bool) string {
-	switch {
-	case frontierOff && noSoA:
-		return "reference"
-	case frontierOff:
-		return "soa"
-	default:
-		return "frontier"
+// engineName names the campaign engine, for tagging -benchjson rows.
+// The fast engine keeps the "frontier" tag its rows have carried since
+// frontier stepping became the default, so they stay comparable.
+func engineName(exact bool) string {
+	if exact {
+		return "exact"
 	}
+	return "frontier"
 }
 
 // benchRecord is the throughput measurement -benchjson emits, so perf
-// runs can be tracked across revisions. Engine names the sweep engine
-// that produced the row (reference/soa/frontier); rows are only
+// runs can be tracked across revisions. Engine names the campaign
+// engine that produced the row (frontier or exact; older rows also
+// carry reference and soa, the retired sweep engines); rows are only
 // comparable within one engine, which is how checkBenchBaseline matches
 // them.
 type benchRecord struct {
@@ -590,7 +569,7 @@ func writeBenchRecord(path, name, engine, mesh string, rep *nocalert.CampaignRep
 // checkBenchBaseline compares this run's throughput against the latest
 // like-engined record named name in the baseline trajectory file and
 // fails on a >30% regression — the `make benchcheck` gate. Rows from a
-// different engine are never compared (a frontier run outpacing the soa
+// different engine are never compared (a fast run outpacing an exact
 // baseline says nothing about either); legacy rows without an engine
 // tag match any engine.
 func checkBenchBaseline(path, name, engine string, faults int, wall time.Duration) error {

@@ -5,13 +5,23 @@
 // ForEVeR. The aggregated report regenerates Figures 6–9 and
 // Observations 1–5.
 //
-// Forking works by warming a single network to the injection cycle and
-// re-forking it per fault, so a cycle-32K campaign pays the warmup once.
+// A campaign runs on one of two engines, which produce byte-identical
+// reports:
+//
+//   - fast (the default) takes every shortcut. Runs fork from golden
+//     snapshots at their injection cycle; a fault that provably never
+//     fired copies a precomputed fault-free template (fast path); the
+//     post-injection window steps only the fault's divergence frontier
+//     and ends early once the frontier empties with a clean ejection
+//     history (reconvergence); and frozen drains and horizons are
+//     synthesized instead of stepped (fast-forward).
+//   - exact (Options.DisableFastPath) is the oracle the shortcuts are
+//     checked against: every run replays its whole prefix from one
+//     cycle-0 snapshot and simulates its window, drain and ForEVeR
+//     horizon in full, with the reference sweep on every router.
+//
 // Runs execute on a small worker pool; each worker reuses one clone
-// arena (sim.Network.CloneInto) across all its runs, and runs whose
-// fault provably never fired short-circuit to a precomputed fault-free
-// template instead of simulating the remaining drain and ForEVeR
-// horizon.
+// arena (sim.Network.CloneInto) across all its runs.
 package campaign
 
 import (
@@ -78,8 +88,9 @@ const (
 	// firing; the result was copied from the fault-free template.
 	ExitFastPath
 	// ExitReconverged: the fault fired but its perturbation washed out —
-	// the faulty state matched the golden run's recorded fingerprint mid
-	// window, so the tail was synthesized instead of simulated.
+	// the divergence frontier emptied mid window with a clean ejection
+	// history, so the faulty run had returned to golden's state and the
+	// tail was synthesized instead of simulated.
 	ExitReconverged
 )
 
@@ -137,49 +148,20 @@ type Options struct {
 	Workers int
 	// CheckersDisabled optionally ablates NoCAlert checkers.
 	CheckersDisabled []core.CheckerID
-	// DisableFastPath forces every run down the full simulate-and-
-	// compare path even when its fault provably never fired. The fast
-	// path is bit-identical to the slow path; this switch exists for
-	// verification and benchmarking. Disabling it also disables
-	// reconvergence detection (which shares the fast path's template).
+	// DisableFastPath selects the exact engine (see the package doc):
+	// no fork, fast path, reconvergence, frontier or fast-forward, and
+	// the reference sweep on full-mesh steps. Its reports are
+	// byte-identical to the fast engine's (test-enforced); it exists as
+	// the oracle for that check and as an escape hatch.
 	DisableFastPath bool
-	// DisableReconvergence turns off golden-state reconvergence
-	// detection: the golden run records no per-cycle fingerprint and
-	// every fired fault simulates its full window, drain and horizon.
-	// Reconverged results are byte-identical to fully simulated ones
-	// (test-enforced); this switch exists for verification, for
-	// measuring the fingerprint overhead, and as an escape hatch.
+	// DisableReconvergence, DisableFork, DisableFastForward and
+	// DisableFrontier are aliases of DisableFastPath, kept for callers
+	// that switch every shortcut off field by field; so is
+	// Sim.DisableSoA. Setting any of them selects the exact engine.
 	DisableReconvergence bool
-	// DisableFork turns off injection-point forking: a single golden
-	// snapshot is kept at cycle 0 and every faulty run honestly replays
-	// its full [0, injection) prefix before the fault goes live.
-	// Fork-enabled reports are byte-identical (test-enforced); the
-	// switch exists for the A/B gate and for measuring the warm-start
-	// win.
-	DisableFork bool
-	// SnapshotInterval fixes the golden snapshot ring's cycle stride.
-	// 0 — the default — picks the interval adaptively from the fault
-	// universe's injection-cycle histogram (snapshots land exactly on
-	// the distinct injection cycles whenever they fit the ring budget).
-	// Ignored when DisableFork is set.
-	SnapshotInterval int64
-	// DisableFastForward turns off the frozen-state fast-forward that
-	// synthesizes the remainder of a run's drain and ForEVeR horizon
-	// once the network state is provably a fixed point (deadlocked
-	// fabrics, drained-idle horizons). Results are byte-identical either
-	// way (test-enforced); the switch exists for verification and
-	// benchmarking.
-	DisableFastForward bool
-	// DisableFrontier turns off divergence-frontier delta stepping: the
-	// golden continuation records no per-link signal transcript and
-	// every fired fault steps its full mesh every cycle of the window
-	// (the PR-5 whole-state fingerprint probe still applies). Frontier
-	// reports are byte-identical to full-mesh reports (test-enforced);
-	// the switch exists for the A/B identity gate and for measuring the
-	// cone-of-influence win. Frontier stepping is implied off when the
-	// fast path or reconvergence is disabled (it shares their golden
-	// template soundness precondition).
-	DisableFrontier bool
+	DisableFork          bool
+	DisableFastForward   bool
+	DisableFrontier      bool
 	// DisableForever runs the campaign without a ForEVeR monitor: the
 	// golden run and every faulty run skip the baseline entirely, and
 	// finishRun skips the post-drain horizon run-out that exists only to
@@ -221,15 +203,26 @@ type Options struct {
 	// nocalertd job down to every run it executes.
 	TraceParent *obs.Span
 	// FlightRecorder, when non-nil, receives cycle-stamped events from
-	// the engine's trust boundaries (fork verifications, reconvergence
-	// fingerprint probes, detections, fast-forward freezes) and
+	// the engine's trust boundaries (fork verifications, emptied
+	// divergence frontiers, detections, fast-forward freezes) and
 	// auto-dumps its ring on anomalies: a fork-verify mismatch or a
 	// missed-detection (FN) verdict.
 	FlightRecorder *obs.FlightRecorder
 }
 
+// exact reports whether o selects the exact engine. It is the only
+// reader of the engine switches: any one of them selects it.
+func (o *Options) exact() bool {
+	return o.DisableFastPath || o.DisableReconvergence || o.DisableFork ||
+		o.DisableFastForward || o.DisableFrontier || o.Sim.DisableSoA
+}
+
 func (o *Options) withDefaults() (Options, error) {
 	out := *o
+	if out.exact() {
+		// The exact engine steps every router with the reference sweep.
+		out.Sim.DisableSoA = true
+	}
 	if out.PostInjectRun <= 0 {
 		out.PostInjectRun = 500
 	}
@@ -250,9 +243,6 @@ func (o *Options) withDefaults() (Options, error) {
 		for i, f := range out.Faults {
 			out.FaultGroups[i] = []fault.Fault{f}
 		}
-	}
-	if out.SnapshotInterval < 0 {
-		return out, fmt.Errorf("campaign: negative snapshot interval %d", out.SnapshotInterval)
 	}
 	for _, g := range out.FaultGroups {
 		if len(g) == 0 {
@@ -322,8 +312,8 @@ type Report struct {
 	// (fault provably never fired; result synthesized from the
 	// fault-free template instead of simulating drain and horizon).
 	FastPathHits int
-	// ReconvergedHits counts runs whose fault fired but whose state
-	// reconverged with the golden run's recorded fingerprint before the
+	// ReconvergedHits counts runs whose fault fired but whose divergence
+	// frontier emptied with a clean ejection history before the
 	// post-injection window ended; their tails were synthesized from the
 	// golden record instead of simulated.
 	ReconvergedHits int
@@ -347,9 +337,8 @@ type Report struct {
 	// FrontierRuns counts runs driven by the divergence-frontier delta
 	// engine; TimelineBytes is the estimated memory footprint of the
 	// golden-side per-window records: the signal transcripts and
-	// window-end states backing the frontier plus the fingerprint
-	// timelines backing reconvergence. Neither alters the serialized
-	// report.
+	// window-end states backing the frontier plus the counter timelines
+	// backing reconvergence. Neither alters the serialized report.
 	FrontierRuns  int
 	TimelineBytes int64
 }
@@ -367,7 +356,8 @@ type worker struct {
 // run injecting at that cycle: the snapshot to fork from, the golden
 // fingerprint at the fork point (each fork's replay is verified against
 // it), the golden reference log and ForEVeR monitor of the fault-free
-// continuation, the fault-free template, and the reconvergence context.
+// continuation, the fault-free template, and the golden window records
+// the divergence frontier and reconvergence use.
 type groupCtx struct {
 	cycle  int64
 	snap   *snapshot
@@ -379,16 +369,17 @@ type groupCtx struct {
 	goldenEjections int
 
 	tmpl RunResult
-	rc   *reconvergence
 
-	// rec and wend drive divergence-frontier delta stepping: the golden
-	// continuation's per-link signal transcript over the post-injection
-	// window and its full state at the window-end boundary (for
-	// materializing the untouched region of a run that needs its drain
-	// simulated). Both nil when the frontier is disabled or the golden
-	// template is unsound; both are shared read-only across workers.
+	// rec, wend and tl drive the fast engine's post-injection window:
+	// the golden continuation's per-link signal transcript, its full
+	// state at the window-end boundary (for materializing the untouched
+	// region of a run that needs its drain simulated), and its per-cycle
+	// counters (the reconvergence precheck). All nil on the exact engine
+	// or when the golden template is unsound; all shared read-only
+	// across workers.
 	rec  *sim.Recording
 	wend *sim.Network
+	tl   *golden.Timeline
 }
 
 // Run executes the campaign.
@@ -428,7 +419,6 @@ func Run(opts Options) (*Report, error) {
 	if !o.DisableForever {
 		mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
 	}
-	wantReconv := !o.DisableFastPath && !o.DisableReconvergence
 	gcOf := make(map[int64]*groupCtx, len(cycles))
 	next := 0 // next snapshot plan entry
 	var tw worker
@@ -444,7 +434,7 @@ func Run(opts Options) (*Report, error) {
 			}
 			mainline.Step()
 		}
-		gc, err := buildGroupCtx(mainline, ring, &tw, o, c, ci == len(cycles)-1, wantReconv)
+		gc, err := buildGroupCtx(mainline, ring, &tw, o, c, ci == len(cycles)-1)
 		if err != nil {
 			warm.End()
 			camp.End()
@@ -454,12 +444,9 @@ func Run(opts Options) (*Report, error) {
 	}
 	var timelineBytes int64
 	for _, gc := range gcOf {
-		timelineBytes += gc.rec.ApproxFootprintBytes()
+		timelineBytes += gc.rec.ApproxFootprintBytes() + gc.tl.ApproxFootprintBytes()
 		if gc.wend != nil {
 			timelineBytes += gc.wend.ApproxFootprintBytes()
-		}
-		if gc.rc != nil {
-			timelineBytes += gc.rc.tl.ApproxFootprintBytes()
 		}
 	}
 	warm.SetAttr("injection_cycles", len(cycles))
@@ -630,14 +617,14 @@ feed:
 }
 
 // buildGroupCtx runs the golden continuation for injection cycle c —
-// the post-injection window (recording the reconvergence timeline when
-// wanted), the drain, and the ForEVeR horizon — and derives everything
-// runs at that cycle share. The mainline network itself continues for
-// the last injection cycle; earlier cycles continue on a clone so the
-// mainline can keep stepping toward the next fork point. The mainline
-// must be at cycle c and the ring must already hold a snapshot at or
-// before c.
-func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Options, c int64, last, wantReconv bool) (*groupCtx, error) {
+// the post-injection window (recording its transcript and counters on
+// the fast engine), the drain, and the ForEVeR horizon — and derives
+// everything runs at that cycle share. The mainline network itself
+// continues for the last injection cycle; earlier cycles continue on a
+// clone so the mainline can keep stepping toward the next fork point.
+// The mainline must be at cycle c and the ring must already hold a
+// snapshot at or before c.
+func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Options, c int64, last bool) (*groupCtx, error) {
 	gc := &groupCtx{cycle: c, snap: ring.at(c), forkFP: mainline.Fingerprint()}
 	if gc.snap == nil {
 		return nil, fmt.Errorf("campaign: no golden snapshot at or before injection cycle %d", c)
@@ -647,31 +634,22 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	if !last {
 		cont = mainline.Clone(nil)
 	}
-	var tl *golden.Timeline
-	if wantReconv {
-		// Record the golden run's per-cycle state fingerprints through
-		// the post-injection window — the timeline faulty runs compare
-		// against once their fault plane goes quiescent. Recording is
-		// a one-time cost on the golden run only; with reconvergence
-		// disabled the plain Run loop below is untouched.
-		tl = golden.NewTimeline(int(o.PostInjectRun))
+	exact := o.exact()
+	if exact {
+		cont.Run(o.PostInjectRun)
+	} else {
+		// Record the golden window: the per-link signal transcript the
+		// divergence frontier replays clean nodes from, and the per-cycle
+		// counters a run whose frontier has emptied compares against.
+		gc.tl = golden.NewTimeline(int(o.PostInjectRun))
 		ejStart := len(cont.Ejections())
-		if !o.DisableFrontier {
-			// Record the per-link signal transcript alongside the
-			// fingerprint timeline: the divergence frontier replays
-			// clean routers from it instead of stepping them.
-			cont.StartRecording(int(o.PostInjectRun))
-		}
+		cont.StartRecording(int(o.PostInjectRun))
 		for t := int64(0); t < o.PostInjectRun; t++ {
 			cont.Step()
-			tl.Observe(cont, cont.Ejections()[ejStart:])
+			gc.tl.Observe(cont, cont.Ejections()[ejStart:])
 		}
-		if !o.DisableFrontier {
-			gc.rec = cont.StopRecording()
-			gc.wend = cont.CloneInto(nil, nil)
-		}
-	} else {
-		cont.Run(o.PostInjectRun)
+		gc.rec = cont.StopRecording()
+		gc.wend = cont.CloneInto(nil, nil)
 	}
 	if !cont.Drain(o.DrainDeadline) {
 		return nil, fmt.Errorf("campaign: fault-free golden run failed to drain by cycle %d (inflight=%d)",
@@ -687,6 +665,9 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	gc.goldenEjections = gc.goldenLog.Total()
 	gc.gfv = findForever(cont)
 	gc.goldenFvFP = gc.gfv != nil && gc.gfv.FirstDetectionAfter(c) >= 0
+	if exact {
+		return gc, nil
+	}
 
 	// Fault-free template for the fast path: one full run through the
 	// same per-fault code path — fork, replay, empty fault plane. A run
@@ -694,46 +675,36 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	// its result can be copied instead of simulated (slices are shared
 	// read-only across all fast-path results). The template run also
 	// exercises the fork-point fingerprint verification for this cycle
-	// before any faulty run trusts it.
-	if !o.DisableFastPath {
-		var st runStats
-		// The template run carries the flight recorder (its fork
-		// verification guards every fast-path result at this cycle) but
-		// no span: index -1 is never sampled.
-		var tro *runObs
-		if o.FlightRecorder != nil {
-			tro = &runObs{fr: o.FlightRecorder, idx: -1}
-		}
-		tmpl, err := runSlow(tw, gc, o, nil, &st, tro)
-		if err != nil {
-			return nil, err
-		}
-		gc.tmpl = tmpl
+	// before any faulty run trusts it. It carries the flight recorder
+	// (its fork verification guards every fast-path result at this
+	// cycle) but no span: index -1 is never sampled.
+	var st runStats
+	var tro *runObs
+	if o.FlightRecorder != nil {
+		tro = &runObs{fr: o.FlightRecorder, idx: -1}
 	}
+	tmpl, err := runSlow(tw, gc, o, nil, &st, tro)
+	if err != nil {
+		return nil, err
+	}
+	gc.tmpl = tmpl
 
-	// Reconvergence context for the workers. The synthesis shortcut is
-	// only sound when the golden continuation is clean: no NoCAlert
-	// assertion anywhere in the fault-free template (so freezing the
-	// engine at the reconvergence cycle loses nothing), a benign
-	// golden-vs-golden verdict, and — when ForEVeR is on — a golden
-	// monitor whose detection list stayed under its cap (so the recorded
-	// tail is complete). All of these hold for any sanely configured
-	// campaign; if one does not, reconvergence silently disables and
-	// every fired fault takes the full path.
-	if wantReconv {
-		sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK()
-		if !o.DisableForever {
-			sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap
-		}
-		if sound {
-			gc.rc = &reconvergence{tl: tl, gfv: gc.gfv, verdict: gc.tmpl.Verdict}
-		}
+	// The frontier and reconvergence are only sound when the golden
+	// continuation is clean: no NoCAlert assertion anywhere in the
+	// fault-free template (so clean routers, which the frontier never
+	// sweeps, can assert nothing, and freezing the engine at the
+	// reconvergence cycle loses nothing), a benign golden-vs-golden
+	// verdict, and — when ForEVeR is on — a golden monitor whose
+	// detection list stayed under its cap (so the recorded tail is
+	// complete). All of these hold for any sanely configured campaign;
+	// if one does not, fired faults step the full mesh and take the
+	// full path.
+	sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK()
+	if !o.DisableForever {
+		sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap
 	}
-	if gc.rc == nil {
-		// The frontier shares the reconvergence soundness precondition
-		// (an invariant-clean golden continuation); without it the
-		// transcript is dead weight.
-		gc.rec, gc.wend = nil, nil
+	if !sound {
+		gc.rec, gc.wend, gc.tl = nil, nil, nil
 	}
 	return gc, nil
 }
@@ -767,69 +738,43 @@ func findForever(n *sim.Network) *forever.Monitor {
 	return nil
 }
 
-// reconvergence bundles the golden-side state the workers' reconvergence
-// check consults: the per-cycle fingerprint timeline, the golden ForEVeR
-// monitor (for synthesizing the detection tail) and the benign
-// golden-vs-golden verdict reconverged runs inherit.
-type reconvergence struct {
-	tl      *golden.Timeline
-	gfv     *forever.Monitor
-	verdict golden.Verdict
-}
-
-// reconvBackoffCap bounds the exponential backoff between full
-// fingerprint attempts. Reconvergence is absorbing — once the faulty
-// state equals golden's it stays equal — so skipping candidate cycles
-// after a failed attempt never loses a match, it only detects it a few
-// cycles later; the backoff keeps permanently diverged runs (whose
-// cheap counters may still match) from paying a full state hash every
-// remaining cycle of the window.
-const reconvBackoffCap = 16
-
-// runOne executes one fault group's run. The run forks from the
-// nearest golden snapshot at or before its injection cycle (replaying
-// the gap fault-free) rather than simulating its whole prefix. When the
-// fast path is enabled and every fault of the group provably expired
-// without firing, the remaining simulation is skipped and the
-// fault-free template result is returned (ExitFastPath); the template
-// is exact because an inert plane's run is bit-identical to the
-// fault-free continuation from the same forked state. Otherwise, once
-// the plane is quiescent (fired, but can never fire again), each
-// cycle's state is compared against the golden timeline; on a
-// fingerprint match with matching ejection history the rest of the run
-// is provably identical to golden's, so the result is synthesized
-// (ExitReconverged) instead of simulated. convCycles is the
-// reconvergence latency (cycles after injection); zero for the other
-// exit paths.
+// runOne executes one fault group's run. The exact engine simulates it
+// end to end (runSlow). The fast engine forks from the nearest golden
+// snapshot at or before its injection cycle and steps the window with
+// the fault's divergence frontier attached, so only its cone of
+// influence is simulated and every other node is replayed from the
+// golden transcript (see sim.Frontier). Each window cycle checks two
+// exits: when every fault of the group provably expired without firing,
+// the fault-free template result is returned (ExitFastPath) — exact
+// because an inert plane's run is bit-identical to the fault-free
+// continuation from the same forked state; and when the plane is
+// quiescent, the frontier has shrunk to empty with a clean ejection
+// history and the counters agree with golden's, the faulty run is back
+// in golden's state, so the rest of the result is synthesized
+// (ExitReconverged). A run still divergent at window end materializes
+// its untouched region from the golden window-end state and finishes
+// (drain, horizon, verdict) as a plain full simulation. convCycles is
+// the reconvergence latency (cycles after injection); zero for the
+// other exit paths.
 func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, st runStats, err error) {
-	if o.DisableFastPath {
+	if o.exact() {
 		res, err = runSlow(w, gc, o, group, &st, ro)
 		return res, ExitFull, 0, st, err
 	}
-	plane := fault.NewPlane(group...)
-	ws := ro.phase("warm-start")
-	n, err := w.fork(gc, plane, &st, ro)
+	n, plane, eng, fv, err := beginRun(w, gc, o, group, &st, ro)
 	if err != nil {
-		ws.End()
 		return res, ExitFull, 0, st, err
 	}
-	ws.SetAttr("fork_cycle", gc.snap.cycle)
-	ws.SetAttr("replayed_cycles", gc.cycle-gc.snap.cycle)
-	ws.End()
-	eng := core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
-	n.AttachMonitor(eng)
-	fv := findForever(n)
-	if fv != nil {
-		fv.ClearDetections()
-	}
-	rc := gc.rc
-	if rc != nil && gc.rec != nil {
-		res, exit, convCycles, err = runFrontier(n, eng, fv, gc, o, group, plane, w, &st, ro)
-		return res, exit, convCycles, st, err
+	var fr *sim.Frontier
+	if gc.rec != nil {
+		seeds := make([]int, 0, len(group))
+		for _, ft := range group {
+			seeds = append(seeds, ft.Site.Router)
+		}
+		fr = sim.NewFrontier(n, gc.rec, seeds)
+		st.frontier = true
 	}
 	fa := ro.phase("fault-armed")
-	var nextTry int64 // earliest cycle for the next full fingerprint
-	gap := int64(1)
 	for t := int64(0); t < o.PostInjectRun; t++ {
 		n.Step()
 		if n.FaultsInert() {
@@ -838,83 +783,14 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 			res.Group = group
 			st.simulated = n.Cycle() - gc.snap.cycle
 			st.horizon = n.Cycle()
+			st.noteFrontier(fr)
 			fa.End()
 			return res, ExitFastPath, 0, st, nil
 		}
-		if rc == nil || !n.FaultsQuiescent() || n.Cycle() < nextTry {
+		if fr == nil || !n.FaultsQuiescent() || !fr.Empty() || !fr.Clean() {
 			continue
 		}
-		pt, ok := rc.tl.At(n.Cycle())
-		if !ok || !countersMatch(n, &pt) {
-			continue
-		}
-		if n.Fingerprint() == pt.State &&
-			golden.EjectionsHash(n.Ejections()) == pt.EjectHash {
-			ro.event("fp_probe", n.Cycle(), "match", nil)
-			st.simulated = n.Cycle() - gc.snap.cycle
-			st.synthesized += gc.cycle + o.PostInjectRun - n.Cycle()
-			st.horizon = gc.cycle + o.PostInjectRun
-			fa.End()
-			rt := ro.phase("reconverged-tail")
-			rt.SetAttr("reconverged_cycle", n.Cycle())
-			rt.SetAttr("cycles_synthesized", gc.cycle+o.PostInjectRun-n.Cycle())
-			rt.End()
-			return synthesizeReconverged(n, eng, fv, rc, plane, gc.cycle, group),
-				ExitReconverged, n.Cycle() - gc.cycle, st, nil
-		}
-		// Counters agreed but state did not (the perturbation is
-		// still washing out, or the run diverged for good with
-		// conserved flit counts): back off before hashing again.
-		ro.event("fp_probe", n.Cycle(), "state mismatch", nil)
-		if gap < reconvBackoffCap {
-			gap *= 2
-		}
-		nextTry = n.Cycle() + gap
-	}
-	fa.End()
-	res = finishRun(n, eng, fv, plane, gc, o, group, w, &st, ro)
-	st.simulated = n.Cycle() - gc.snap.cycle
-	return res, ExitFull, 0, st, nil
-}
-
-// runFrontier drives one forked faulty run with the divergence-frontier
-// delta engine: only the fault's cone of influence is stepped, every
-// other node is replayed from the golden signal transcript (see
-// sim.Frontier). The exit paths mirror runOne's exactly — an inert
-// plane copies the fault-free template, and reconvergence synthesizes
-// the tail — except the reconvergence probe needs no fingerprint
-// hashing: a frontier that has shrunk to empty with a clean ejection
-// history IS the state identity the PR-5 probe hashes for, so the
-// per-cycle check is a few flag and counter compares. A run still
-// divergent at window end materializes its untouched region from the
-// golden window-end state and finishes (drain, horizon, verdict) as a
-// plain full simulation.
-func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *groupCtx, o Options, group []fault.Fault, plane *fault.Plane, w *worker, st *runStats, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, err error) {
-	seeds := make([]int, 0, len(group))
-	for _, ft := range group {
-		seeds = append(seeds, ft.Site.Router)
-	}
-	fr := sim.NewFrontier(n, gc.rec, seeds)
-	st.frontier = true
-	rc := gc.rc
-	fa := ro.phase("fault-armed")
-	for t := int64(0); t < o.PostInjectRun; t++ {
-		fr.Step()
-		if n.FaultsInert() {
-			res = gc.tmpl
-			res.Fault = group[0]
-			res.Group = group
-			st.simulated = n.Cycle() - gc.snap.cycle
-			st.horizon = n.Cycle()
-			st.frontierPeak = fr.Peak()
-			st.frontierJoins = fr.Joins()
-			fa.End()
-			return res, ExitFastPath, 0, nil
-		}
-		if !n.FaultsQuiescent() || !fr.Empty() || !fr.Clean() {
-			continue
-		}
-		pt, ok := rc.tl.At(n.Cycle())
+		pt, ok := gc.tl.At(n.Cycle())
 		if !ok || !countersMatch(n, &pt) {
 			continue
 		}
@@ -922,30 +798,28 @@ func runFrontier(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *grou
 		st.simulated = n.Cycle() - gc.snap.cycle
 		st.synthesized += gc.cycle + o.PostInjectRun - n.Cycle()
 		st.horizon = gc.cycle + o.PostInjectRun
-		st.frontierPeak = fr.Peak()
-		st.frontierJoins = fr.Joins()
+		st.noteFrontier(fr)
 		fa.End()
 		rt := ro.phase("reconverged-tail")
 		rt.SetAttr("reconverged_cycle", n.Cycle())
 		rt.SetAttr("cycles_synthesized", gc.cycle+o.PostInjectRun-n.Cycle())
 		rt.End()
-		return synthesizeReconverged(n, eng, fv, rc, plane, gc.cycle, group),
-			ExitReconverged, n.Cycle() - gc.cycle, nil
+		return synthesizeReconverged(n, eng, fv, gc, plane, group),
+			ExitReconverged, n.Cycle() - gc.cycle, st, nil
 	}
 	fa.End()
-	st.frontierPeak = fr.Peak()
-	st.frontierJoins = fr.Joins()
-	fr.MaterializeAll(gc.wend)
-	res = finishRun(n, eng, fv, plane, gc, o, group, w, st, ro)
+	if fr != nil {
+		st.noteFrontier(fr)
+		fr.MaterializeAll(gc.wend)
+	}
+	res = finishRun(n, eng, fv, plane, gc, o, group, w, &st, ro)
 	st.simulated = n.Cycle() - gc.snap.cycle
-	return res, ExitFull, 0, nil
+	return res, ExitFull, 0, st, nil
 }
 
-// countersMatch is the cheap precheck run before paying for a full
-// fingerprint: a faulty run still carrying divergent traffic almost
-// always disagrees with golden on one of these counters, so rejecting
-// on them first keeps the per-cycle reconvergence probe at a few
-// integer compares.
+// countersMatch compares the network-level counters an empty frontier
+// does not cover with golden's at the same boundary: the packet id
+// stream and the flit and ejection counts.
 func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
 	return n.FlitsInjected() == pt.FlitsInjected &&
 		n.FlitsEjected() == pt.FlitsEjected &&
@@ -955,30 +829,44 @@ func countersMatch(n *sim.Network, pt *golden.TimelinePoint) bool {
 
 // synthesizeReconverged builds the run's result at the reconvergence
 // cycle without simulating the rest of the window, the drain or the
-// ForEVeR horizon. Soundness: the state fingerprint and ejection-prefix
-// match prove the faulty run's past delivered exactly golden's flits
-// and its future will replay golden's cycles bit for bit. Hence the
-// verdict is the benign golden-vs-golden verdict; the drain succeeds
-// exactly as golden's did; the NoCAlert engine — whose checkers are
-// purely combinational per cycle — can assert nothing in the golden
-// replay (the fault-free template run detected nothing, a campaign
-// precondition checked in Run), so its aggregates are already final;
-// and ForEVeR's counter state, a function of the injection and ejection
-// histories alone, equals the golden monitor's, so its future flags are
-// the golden monitor's recorded tail.
-func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor, rc *reconvergence, plane *fault.Plane, injectCycle int64, group []fault.Fault) RunResult {
-	fired := false
-	for i := range group {
-		if plane.FiredAt(i) >= 0 {
-			fired = true
-			break
+// ForEVeR horizon. Soundness: an empty frontier means every node holds
+// golden's state (up to the per-node fold), and a clean ejection
+// history plus matching counters mean the faulty run's past delivered
+// exactly golden's flits — so its future will replay golden's cycles
+// bit for bit. Hence the verdict is the benign golden-vs-golden
+// verdict; the drain succeeds exactly as golden's did; the NoCAlert
+// engine — whose checkers are purely combinational per cycle — can
+// assert nothing in the golden replay (the fault-free template run
+// detected nothing, a precondition buildGroupCtx checks), so its
+// aggregates are already final; and ForEVeR's counter state, a
+// function of the injection and ejection histories alone, equals the
+// golden monitor's, so its future flags are the golden monitor's
+// recorded tail.
+func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor, gc *groupCtx, plane *fault.Plane, group []fault.Fault) RunResult {
+	fd := int64(-1)
+	if fv != nil {
+		// Flags the faulty monitor raised during the divergent window
+		// come first; past the reconvergence cycle the faulty run would
+		// flag exactly when the golden monitor did, so the recorded
+		// golden tail completes the picture.
+		fd = fv.FirstDetectionAfter(gc.cycle)
+		if fd < 0 && gc.gfv != nil {
+			fd = gc.gfv.FirstDetectionAfter(n.Cycle())
 		}
 	}
+	return newResult(eng, plane, group, gc.tmpl.Verdict, true, fd, gc.cycle)
+}
+
+// newResult classifies a finished run: the golden verdict, the drain
+// outcome, NoCAlert's and Cautious mode's detections from the engine,
+// and ForEVeR's first detection fd (-1 for none or no monitor), all
+// relative to the injection cycle.
+func newResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, verdict golden.Verdict, drained bool, fd, injectCycle int64) RunResult {
+	malicious := !verdict.OK()
 	res := RunResult{
 		Group:   group,
-		Fired:   fired,
-		Verdict: rc.verdict,
-		Drained: true,
+		Verdict: verdict,
+		Drained: drained,
 
 		Detected:    eng.Detected(),
 		DetectCycle: eng.FirstDetection(),
@@ -986,46 +874,34 @@ func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor
 		CheckersFired:      eng.FiredCheckers(),
 		FirstCycleCheckers: eng.FirstCycleCheckers(),
 		SimultaneityHist:   eng.SimultaneityHistogram(),
+
+		Latency:         -1,
+		CautiousLatency: -1,
+		ForeverLatency:  -1,
+	}
+	for i := range group {
+		if plane.FiredAt(i) >= 0 {
+			res.Fired = true
+			break
+		}
 	}
 	if len(group) > 0 {
 		res.Fault = group[0]
 	}
-	// The verdict is benign by construction, so malicious is false in
-	// every classification below.
-	res.Outcome = classify(res.Detected, false)
+	res.Outcome = classify(res.Detected, malicious)
 	if res.Detected {
 		res.Latency = res.DetectCycle - injectCycle
-	} else {
-		res.Latency = -1
 	}
-
 	res.CautiousDetected = eng.FirstHighRiskDetection() >= 0
-	res.CautiousOutcome = classify(res.CautiousDetected, false)
+	res.CautiousOutcome = classify(res.CautiousDetected, malicious)
 	if res.CautiousDetected {
 		res.CautiousLatency = eng.FirstHighRiskDetection() - injectCycle
-	} else {
-		res.CautiousLatency = -1
 	}
-
-	if fv != nil {
-		// Flags the faulty monitor raised during the divergent window
-		// come first; past the reconvergence cycle the faulty run would
-		// flag exactly when the golden monitor did, so the recorded
-		// golden tail completes the picture.
-		fd := fv.FirstDetectionAfter(injectCycle)
-		if fd < 0 && rc.gfv != nil {
-			fd = rc.gfv.FirstDetectionAfter(n.Cycle())
-		}
-		res.ForeverDetected = fd >= 0
-		if res.ForeverDetected {
-			res.ForeverLatency = fd - injectCycle
-		} else {
-			res.ForeverLatency = -1
-		}
-	} else {
-		res.ForeverLatency = -1
+	res.ForeverDetected = fd >= 0
+	res.ForeverOutcome = classify(res.ForeverDetected, malicious)
+	if res.ForeverDetected {
+		res.ForeverLatency = fd - injectCycle
 	}
-	res.ForeverOutcome = classify(res.ForeverDetected, false)
 	return res
 }
 
@@ -1033,12 +909,29 @@ func synthesizeReconverged(n *sim.Network, eng *core.Engine, fv *forever.Monitor
 // runs with an empty fault plane (used to compute the fast-path
 // template).
 func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (RunResult, error) {
+	n, plane, eng, fv, err := beginRun(w, gc, o, group, st, ro)
+	if err != nil {
+		return RunResult{}, err
+	}
+	fa := ro.phase("fault-armed")
+	n.Run(o.PostInjectRun)
+	fa.End()
+	res := finishRun(n, eng, fv, plane, gc, o, group, w, st, ro)
+	st.simulated = n.Cycle() - gc.snap.cycle
+	return res, nil
+}
+
+// beginRun forks the run's network at its injection cycle (the warm-start
+// phase), arms group's fault plane on it, and attaches a fresh NoCAlert
+// engine; the ForEVeR monitor forked from golden has its detections
+// cleared.
+func beginRun(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (*sim.Network, *fault.Plane, *core.Engine, *forever.Monitor, error) {
 	plane := fault.NewPlane(group...)
 	ws := ro.phase("warm-start")
 	n, err := w.fork(gc, plane, st, ro)
 	if err != nil {
 		ws.End()
-		return RunResult{}, err
+		return nil, nil, nil, nil, err
 	}
 	ws.SetAttr("fork_cycle", gc.snap.cycle)
 	ws.SetAttr("replayed_cycles", gc.cycle-gc.snap.cycle)
@@ -1049,12 +942,7 @@ func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSta
 	if fv != nil {
 		fv.ClearDetections()
 	}
-	fa := ro.phase("fault-armed")
-	n.Run(o.PostInjectRun)
-	fa.End()
-	res := finishRun(n, eng, fv, plane, gc, o, group, w, st, ro)
-	st.simulated = n.Cycle() - gc.snap.cycle
-	return res, nil
+	return n, plane, eng, fv, nil
 }
 
 // finishRun drains the network, runs out the ForEVeR horizon, and
@@ -1064,7 +952,8 @@ func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSta
 // drain succeeded (an undrained network still steps to the horizon: the
 // extra cycles can surface NoCAlert assertions on stuck traffic).
 //
-// With fast-forward enabled, both phases probe for a frozen fixed point
+// On the fast engine (the exact engine switches the probe off), both
+// phases probe for a frozen fixed point
 // (see ffProbe) and synthesize the remainder exactly instead of
 // stepping it: a frozen non-quiet network can never drain, so the drain
 // verdict is the deadline miss it was headed for; a frozen network
@@ -1077,84 +966,68 @@ func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSta
 func finishRun(n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fault.Plane, gc *groupCtx, o Options, group []fault.Fault, w *worker, st *runStats, ro *runObs) RunResult {
 	var drained, frozen bool
 	projectUntil := int64(-1)
-	if o.DisableFastForward {
-		dr := ro.phase("drain")
-		drained = n.Drain(o.DrainDeadline)
-		dr.SetAttr("drained", drained)
-		dr.End()
-		if fv != nil || !drained {
-			hz := ro.phase("horizon")
-			horizon := foreverHorizon(n.Cycle(), o.Forever)
+	probe := ffProbe{off: o.exact()}
+	n.StopInjection()
+	dr := ro.phase("drain")
+	drainEnd := n.Cycle() + o.DrainDeadline
+	for n.Cycle() < drainEnd {
+		if n.Quiet() {
+			drained = true
+			break
+		}
+		if probe.frozen(n, eng, fv) {
+			frozen = true
+			break
+		}
+		n.Step()
+	}
+	if !drained && !frozen {
+		drained = n.Quiet()
+	}
+	if frozen {
+		ro.event("ff_freeze", n.Cycle(), "frozen in drain", nil)
+	}
+	dr.SetAttr("drained", drained)
+	dr.SetAttr("frozen", frozen)
+	dr.End()
+	logical := n.Cycle()
+	if frozen {
+		// A frozen, non-quiet network would have stepped unchanged
+		// to the deadline and missed it.
+		st.synthesized += drainEnd - n.Cycle()
+		logical = drainEnd
+	}
+	if fv != nil || !drained {
+		hz := ro.phase("horizon")
+		horizon := foreverHorizon(logical, o.Forever)
+		if !frozen {
 			for n.Cycle() < horizon {
+				if probe.frozen(n, eng, fv) {
+					frozen = true
+					ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
+					break
+				}
 				n.Step()
 			}
-			hz.SetAttr("horizon_cycle", horizon)
-			hz.End()
-		}
-	} else {
-		var probe ffProbe
-		n.StopInjection()
-		dr := ro.phase("drain")
-		drainEnd := n.Cycle() + o.DrainDeadline
-		for n.Cycle() < drainEnd {
-			if n.Quiet() {
-				drained = true
-				break
-			}
-			if probe.frozen(n, eng, fv) {
-				frozen = true
-				break
-			}
-			n.Step()
-		}
-		if !drained && !frozen {
-			drained = n.Quiet()
 		}
 		if frozen {
-			ro.event("ff_freeze", n.Cycle(), "frozen in drain", nil)
+			st.synthesized += horizon - max64(n.Cycle(), logical)
+			projectUntil = horizon
 		}
-		dr.SetAttr("drained", drained)
-		dr.SetAttr("frozen", frozen)
-		dr.End()
-		logical := n.Cycle()
-		if frozen {
-			// A frozen, non-quiet network would have stepped unchanged
-			// to the deadline and missed it.
-			st.synthesized += drainEnd - n.Cycle()
-			logical = drainEnd
-		}
-		if fv != nil || !drained {
-			hz := ro.phase("horizon")
-			horizon := foreverHorizon(logical, o.Forever)
-			if !frozen {
-				for n.Cycle() < horizon {
-					if probe.frozen(n, eng, fv) {
-						frozen = true
-						ro.event("ff_freeze", n.Cycle(), "frozen in horizon", nil)
-						break
-					}
-					n.Step()
-				}
-			}
-			if frozen {
-				st.synthesized += horizon - max64(n.Cycle(), logical)
-				projectUntil = horizon
-			}
-			hz.SetAttr("horizon_cycle", horizon)
-			hz.SetAttr("frozen", frozen)
-			hz.End()
-		}
-		if frozen {
-			// The frozen state re-emits its assertion pattern on every
-			// synthesized cycle; fold all of them into the engine so the
-			// accumulators match a full simulation to the horizon.
-			probe.extend(eng, projectUntil-n.Cycle())
-			ff := ro.phase("fast-forward")
-			ff.SetAttr("frozen_cycle", n.Cycle())
-			ff.SetAttr("project_until", projectUntil)
-			ff.SetAttr("cycles_synthesized", st.synthesized)
-			ff.End()
-		}
+		hz.SetAttr("horizon_cycle", horizon)
+		hz.SetAttr("frozen", frozen)
+		hz.End()
+	}
+	if frozen {
+		// The frozen state re-emits its assertion pattern on every
+		// synthesized cycle; fold all of them into the engine so the
+		// accumulators match a full simulation to the horizon.
+		probe.extend(eng, projectUntil-n.Cycle())
+		ff := ro.phase("fast-forward")
+		ff.SetAttr("frozen_cycle", n.Cycle())
+		ff.SetAttr("project_until", projectUntil)
+		ff.SetAttr("cycles_synthesized", st.synthesized)
+		ff.End()
 	}
 	// The logical end cycle this run's accounting covers: with a frozen
 	// fast-forward the synthesized remainder runs to projectUntil,
@@ -1169,64 +1042,16 @@ func finishRun(n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fau
 
 	w.flog = golden.FromEjectionsInto(w.flog, n.Ejections(), gc.cycle)
 	verdict := golden.Compare(gc.goldenLog, w.flog, drained)
-	malicious := !verdict.OK()
-
-	fired := false
-	for i := range group {
-		if plane.FiredAt(i) >= 0 {
-			fired = true
-			break
-		}
-	}
-	res := RunResult{
-		Group:   group,
-		Fired:   fired,
-		Verdict: verdict,
-		Drained: drained,
-
-		Detected:    eng.Detected(),
-		DetectCycle: eng.FirstDetection(),
-
-		CheckersFired:      eng.FiredCheckers(),
-		FirstCycleCheckers: eng.FirstCycleCheckers(),
-		SimultaneityHist:   eng.SimultaneityHistogram(),
-	}
-	if len(group) > 0 {
-		res.Fault = group[0]
-	}
-	res.Outcome = classify(res.Detected, malicious)
-	if res.Detected {
-		res.Latency = res.DetectCycle - gc.cycle
-	} else {
-		res.Latency = -1
-	}
-
-	res.CautiousDetected = eng.FirstHighRiskDetection() >= 0
-	res.CautiousOutcome = classify(res.CautiousDetected, malicious)
-	if res.CautiousDetected {
-		res.CautiousLatency = eng.FirstHighRiskDetection() - gc.cycle
-	} else {
-		res.CautiousLatency = -1
-	}
-
+	fd := int64(-1)
 	if fv != nil {
-		fd := fv.FirstDetectionAfter(gc.cycle)
+		fd = fv.FirstDetectionAfter(gc.cycle)
 		if fd < 0 && projectUntil >= 0 {
 			// The frozen state replays identically through [n.Cycle(),
 			// projectUntil): only the epoch-boundary checks remain.
 			fd = fv.ProjectFrozenDetection(n.Cycle(), projectUntil)
 		}
-		res.ForeverDetected = fd >= 0
-		if res.ForeverDetected {
-			res.ForeverLatency = fd - gc.cycle
-		} else {
-			res.ForeverLatency = -1
-		}
-	} else {
-		res.ForeverLatency = -1
 	}
-	res.ForeverOutcome = classify(res.ForeverDetected, malicious)
-	return res
+	return newResult(eng, plane, group, verdict, drained, fd, gc.cycle)
 }
 
 // SampleFaults draws n distinct single-bit transient faults injecting

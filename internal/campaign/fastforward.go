@@ -38,6 +38,15 @@ type runStats struct {
 	frontierJoins int64
 }
 
+// noteFrontier copies the frontier's peak and join counts (fr may be
+// nil: a run stepped without one).
+func (st *runStats) noteFrontier(fr *sim.Frontier) {
+	if fr != nil {
+		st.frontierPeak = fr.Peak()
+		st.frontierJoins = fr.Joins()
+	}
+}
+
 // ffBackoffCap bounds the exponential backoff between fixed-point probe
 // attempts, so livelocked runs that never freeze pay a static
 // fingerprint on a few percent of their cycles at worst.
@@ -59,6 +68,7 @@ const ffBackoffCap = 64
 // cycle (checkers are pure functions of the signal record), and the
 // probe captures that multiset across its confirming step.
 type ffProbe struct {
+	off     bool // never freeze: the exact engine steps every cycle
 	fp      uint64
 	fpCycle int64 // boundary fp was taken at; -1 when not armed
 	mark    core.AccumMark
@@ -72,6 +82,9 @@ type ffProbe struct {
 // failed pair. On confirmation p.mark spans exactly the probed step, so
 // extend can replay the steady assertion pattern.
 func (p *ffProbe) frozen(n *sim.Network, eng *core.Engine, fv *forever.Monitor) bool {
+	if p.off {
+		return false
+	}
 	if p.gap == 0 {
 		p.gap, p.fpCycle = 1, -1
 	}

@@ -81,7 +81,7 @@ func TestGoldenFixture4x4(t *testing.T) {
 
 // Golden8x8Spec is the paper-scale pinned campaign: the 8×8 mesh at
 // the throughput benchmark's operating point. Its fixture is what the
-// soa-identity CI gate and the SoA bench row both anchor to.
+// exact-identity CI gate and the 8×8 bench row both anchor to.
 func Golden8x8Spec() Spec {
 	return Spec{
 		MeshW: 8, MeshH: 8, VCs: 4,
@@ -192,30 +192,23 @@ func TestGoldenFixture16x16(t *testing.T) {
 	}
 }
 
-// TestGoldenEngineIdentity runs the golden 4×4 campaign once per sweep
-// engine and requires record-for-record identical results: verdicts,
-// outcomes, detection latencies and checker attributions must not move
-// when the reference engine replaces the SoA engine. This is the
-// in-tree half of the soa-identity CI gate (the CI half compares the
+// TestGoldenEngineIdentity runs the golden 4×4 campaign on the fast
+// engine (SoA sweep) and on the exact engine, selected here through its
+// Sim.DisableSoA alias (reference sweep), and requires record-for-record
+// identical results: verdicts, outcomes, detection latencies and
+// checker attributions must not move with the engine. This is the
+// in-tree half of the exact-identity gate (the make target compares the
 // CLI's whole JSON reports byte-for-byte on both mesh sizes).
 func TestGoldenEngineIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	spec := GoldenSpec()
-	soa := NewFixture(spec, unshardedRecords(t, spec))
+	soa := NewFixture(spec, withoutFastPathFlag(unshardedRecords(t, spec)))
 
 	opts := spec.Options()
 	opts.Sim.DisableSoA = true
-	opts.Faults = spec.Universe()
-	recs := make([]trace.RunRecord, len(opts.Faults))
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-		recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
-	}
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
-	ref := NewFixture(spec, recs)
+	ref := NewFixture(spec, exactRecords(t, opts, spec))
 
 	if diffs := soa.Diff(ref); len(diffs) != 0 {
 		for _, d := range diffs {
@@ -227,28 +220,19 @@ func TestGoldenEngineIdentity(t *testing.T) {
 
 // TestFrontierEngineIdentity is TestGoldenEngineIdentity for the
 // divergence-frontier engine: the golden 4×4 campaign run with
-// frontier delta stepping (the default) must be record-for-record
-// identical to the same campaign with -no-frontier. This is the
-// in-tree half of the frontier-identity CI gate (the CI half compares
-// the CLI's whole JSON reports byte-for-byte on both mesh sizes).
+// frontier delta stepping (the fast engine) must be record-for-record
+// identical to the exact engine's full-mesh steps, selected here
+// through its DisableFrontier alias.
 func TestFrontierEngineIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
 	}
 	spec := GoldenSpec()
-	frontier := NewFixture(spec, unshardedRecords(t, spec))
+	frontier := NewFixture(spec, withoutFastPathFlag(unshardedRecords(t, spec)))
 
 	opts := spec.Options()
 	opts.DisableFrontier = true
-	opts.Faults = spec.Universe()
-	recs := make([]trace.RunRecord, len(opts.Faults))
-	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
-		recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
-	}
-	if _, err := Run(opts); err != nil {
-		t.Fatal(err)
-	}
-	full := NewFixture(spec, recs)
+	full := NewFixture(spec, exactRecords(t, opts, spec))
 
 	if diffs := frontier.Diff(full); len(diffs) != 0 {
 		for _, d := range diffs {
@@ -256,4 +240,42 @@ func TestFrontierEngineIdentity(t *testing.T) {
 		}
 		t.Fatalf("%d fault(s) differ between the frontier and full-mesh engines", len(diffs))
 	}
+}
+
+// exactRecords runs spec's universe under opts, which must select the
+// exact engine, and returns its per-fault records. The exact engine
+// never takes the fast path, so no record may carry the fast_path exit
+// flag; callers compare it against fast-engine records with that flag
+// cleared (withoutFastPathFlag), every result field intact.
+func exactRecords(t *testing.T, opts Options, spec Spec) []trace.RunRecord {
+	t.Helper()
+	opts.Faults = spec.Universe()
+	recs := make([]trace.RunRecord, len(opts.Faults))
+	opts.OnResult = func(i int, res *RunResult, wall time.Duration, exit ExitPath) {
+		recs[i] = RecordFor(i, res, wall, exit == ExitFastPath)
+	}
+	rep, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FrontierRuns != 0 || rep.FastPathHits != 0 {
+		t.Fatalf("exact engine took a shortcut: frontier %d, fastpath %d", rep.FrontierRuns, rep.FastPathHits)
+	}
+	for i := range recs {
+		if recs[i].FastPath {
+			t.Fatalf("exact engine record %d carries the fast_path exit flag", i)
+		}
+	}
+	return recs
+}
+
+// withoutFastPathFlag returns a copy of recs with the fast_path exit
+// flag cleared: the flag names the fast engine's exit path, not a
+// result, and is the one record field the exact engine never matches.
+func withoutFastPathFlag(recs []trace.RunRecord) []trace.RunRecord {
+	out := append([]trace.RunRecord(nil), recs...)
+	for i := range out {
+		out[i].FastPath = false
+	}
+	return out
 }

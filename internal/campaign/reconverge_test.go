@@ -22,11 +22,12 @@ func goldenOptions(t *testing.T) Options {
 	return opts
 }
 
-// TestReconvergenceByteIdentity runs the golden-fixture campaign with
-// reconvergence detection on and off and requires the two aggregated
-// JSON reports to be byte-for-byte identical — the acceptance bar for
-// the optimization: reconvergence may only change how fast a result is
-// computed, never the result.
+// TestReconvergenceByteIdentity runs the golden-fixture campaign on
+// the fast engine, which ends masked runs at reconvergence, and on the
+// exact engine, selected here through its DisableReconvergence alias,
+// and requires the two aggregated JSON reports to be byte-for-byte
+// identical — the acceptance bar for the optimization: reconvergence
+// may only change how fast a result is computed, never the result.
 func TestReconvergenceByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -43,13 +44,13 @@ func TestReconvergenceByteIdentity(t *testing.T) {
 	}
 
 	if withoutRep.ReconvergedHits != 0 {
-		t.Fatalf("ReconvergedHits = %d with reconvergence disabled, want 0", withoutRep.ReconvergedHits)
+		t.Fatalf("ReconvergedHits = %d on the exact engine, want 0", withoutRep.ReconvergedHits)
 	}
 	if withRep.ReconvergedHits == 0 {
 		t.Fatal("golden-fixture campaign produced no reconverged runs; the test premise (masked faults washing out mid-window) is broken")
 	}
-	if withRep.FastPathHits != withoutRep.FastPathHits {
-		t.Fatalf("FastPathHits differ: %d with reconvergence, %d without", withRep.FastPathHits, withoutRep.FastPathHits)
+	if withoutRep.FastPathHits != 0 {
+		t.Fatalf("FastPathHits = %d on the exact engine, want 0", withoutRep.FastPathHits)
 	}
 
 	var with, without bytes.Buffer
@@ -60,14 +61,15 @@ func TestReconvergenceByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(with.Bytes(), without.Bytes()) {
-		t.Fatalf("reports differ between reconvergence on and off (%d vs %d bytes)", with.Len(), without.Len())
+		t.Fatalf("reports differ between the fast and exact engines (%d vs %d bytes)", with.Len(), without.Len())
 	}
 	t.Logf("reconverged runs: %d of %d (fast-path: %d)", withRep.ReconvergedHits, len(withRep.Results), withRep.FastPathHits)
 }
 
 // TestReconvergedResultsMatchFullSimulation cross-checks every
-// individual result field (not just the aggregated JSON) between the
-// reconvergence-enabled and the full-simulation campaign.
+// individual result field (not just the aggregated JSON) of the
+// golden-fixture campaign between the fast engine, whose masked faults
+// reconverge mid window, and the exact engine's full simulation.
 func TestReconvergedResultsMatchFullSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign test in -short mode")
@@ -76,15 +78,18 @@ func TestReconvergedResultsMatchFullSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fastRep.ReconvergedHits == 0 {
+		t.Fatal("golden-fixture campaign produced no reconverged runs; the test premise (masked faults washing out mid-window) is broken")
+	}
 	off := goldenOptions(t)
-	off.DisableReconvergence = true
+	off.DisableFastPath = true
 	slowRep, err := Run(off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range fastRep.Results {
 		// Verdict.Reasons order follows map iteration; everything else
-		// must match exactly (see TestFastPathBitIdenticalCampaign).
+		// must match exactly.
 		fr, sr := fastRep.Results[i], slowRep.Results[i]
 		if len(fr.Verdict.Reasons) != len(sr.Verdict.Reasons) {
 			t.Fatalf("result %d reason count differs: %d vs %d", i, len(fr.Verdict.Reasons), len(sr.Verdict.Reasons))
@@ -162,9 +167,9 @@ func TestQuiescentVsInert(t *testing.T) {
 	}
 }
 
-// TestReconvergenceOffGoldenPathUnchanged checks that disabling
-// reconvergence leaves the golden run's plain loop untouched: the two
-// modes must agree on the golden-run aggregates the report exposes.
+// TestReconvergenceOffGoldenPathUnchanged checks that the golden run's
+// recording window (fast engine) and its plain loop (exact engine, no
+// reconvergence) agree on the golden-run aggregates the report exposes.
 func TestReconvergenceOffGoldenPathUnchanged(t *testing.T) {
 	mesh := topology.NewMesh(4, 4)
 	rc := router.Default(mesh)
@@ -182,7 +187,7 @@ func TestReconvergenceOffGoldenPathUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.DisableReconvergence = true
+	opts.DisableFastPath = true
 	offRep, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

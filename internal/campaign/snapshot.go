@@ -52,27 +52,16 @@ func (r *snapshotRing) at(cycle int64) *snapshot {
 // planSnapshots returns the ascending cycles the golden run snapshots
 // at. cycles is the campaign's distinct injection cycles, ascending.
 //
-//   - Fork disabled: a single snapshot at cycle 0, so every run
+//   - Exact engine: a single snapshot at cycle 0, so every run
 //     honestly replays its full [0, injection) prefix.
-//   - Fixed interval I: the grid {min, min+I, min+2I, ...} clipped to
-//     the last injection cycle (an interval past the horizon
-//     degenerates to the single {min} entry).
-//   - Adaptive (interval 0): the distinct injection cycles themselves
-//     when they fit the budget, so every fork replays zero cycles;
-//     otherwise equal-fault-weight buckets over the universe's
-//     injection-cycle histogram, so each snapshot amortizes over the
-//     same number of runs.
+//   - Fast engine: the distinct injection cycles themselves when they
+//     fit the budget, so every fork replays zero cycles; otherwise
+//     equal-fault-weight buckets over the universe's injection-cycle
+//     histogram, so each snapshot amortizes over the same number of
+//     runs.
 func planSnapshots(o *Options, cycles []int64) []int64 {
-	if o.DisableFork {
+	if o.exact() {
 		return []int64{0}
-	}
-	if o.SnapshotInterval > 0 {
-		lo, hi := cycles[0], cycles[len(cycles)-1]
-		var plan []int64
-		for s := lo; s <= hi; s += o.SnapshotInterval {
-			plan = append(plan, s)
-		}
-		return plan
 	}
 	if len(cycles) <= snapshotBudget {
 		return append([]int64(nil), cycles...)

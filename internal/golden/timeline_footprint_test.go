@@ -3,7 +3,7 @@ package golden
 import "testing"
 
 // TestTimelineFootprintPinned pins Timeline.ApproxFootprintBytes to
-// its documented arithmetic: 48 bytes per point at capacity plus the
+// its documented arithmetic: 32 bytes per point at capacity plus the
 // fixed header. Report.TimelineBytes folds this in, so the estimate
 // must track TimelinePoint's actual field set.
 func TestTimelineFootprintPinned(t *testing.T) {
@@ -13,10 +13,10 @@ func TestTimelineFootprintPinned(t *testing.T) {
 	}
 
 	tl := NewTimeline(500)
-	if got, want := tl.ApproxFootprintBytes(), int64(cap(tl.points))*48+48; got != want {
+	if got, want := tl.ApproxFootprintBytes(), int64(cap(tl.points))*32+32; got != want {
 		t.Fatalf("Timeline.ApproxFootprintBytes() = %d, want %d", got, want)
 	}
-	if got := tl.ApproxFootprintBytes(); got < 500*48 {
-		t.Fatalf("Timeline.ApproxFootprintBytes() = %d, want >= %d for 500 requested points", got, 500*48)
+	if got := tl.ApproxFootprintBytes(); got < 500*32 {
+		t.Fatalf("Timeline.ApproxFootprintBytes() = %d, want >= %d for 500 requested points", got, 500*32)
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // Event is one flight-recorder entry: a cycle-stamped observation from
-// the campaign's hot path (a fork verification, a full fingerprint
-// probe, a detection or assertion summary, a fast-forward freeze).
+// the campaign's hot path (a fork verification, an emptied divergence
+// frontier, a detection or assertion summary, a fast-forward freeze).
 type Event struct {
 	// Seq is the recorder-assigned sequence number, monotonically
 	// increasing across the whole campaign, so a dump shows how much
@@ -21,7 +21,7 @@ type Event struct {
 	Run int `json:"run"`
 	// Cycle is the simulation cycle the event is about.
 	Cycle int64 `json:"cycle"`
-	// Kind classifies the event: "fork_verify", "fp_probe",
+	// Kind classifies the event: "fork_verify", "frontier_empty",
 	// "detection", "assertion", "ff_freeze", "shard_manifest", ...
 	Kind   string         `json:"kind"`
 	Detail string         `json:"detail,omitempty"`

@@ -98,7 +98,7 @@ func TestDumpWithNilSinkStillCounts(t *testing.T) {
 func TestReadDumpsToleratesTornTail(t *testing.T) {
 	var sink bytes.Buffer
 	fr := NewFlightRecorder(4, &sink)
-	fr.Record(Event{Run: 0, Kind: "fp_probe"})
+	fr.Record(Event{Run: 0, Kind: "fork_verify"})
 	fr.Dump("one")
 	fr.Dump("two")
 	whole := sink.String()

@@ -52,7 +52,7 @@ type Router struct {
 	// when no fault window is open.
 	planeLive bool
 	// sweepRef forces the reference full-VC-range sweeps in SA/VA/RC
-	// (the -no-soa engine); fastSweep, recomputed each BeginCycle, is
+	// (the exact campaign engine's sweep); fastSweep, recomputed each BeginCycle, is
 	// true when the mask-driven sparse sweeps are in effect this cycle.
 	// The two engines share storage and per-register semantics — only
 	// the iteration sets differ, and the masks make them provably equal.
@@ -143,8 +143,9 @@ func (r *Router) SetPlane(p *fault.Plane) { r.plane = p }
 
 // SetReferenceSweep selects the reference engine: full VC-range sweeps
 // every cycle instead of the mask-driven sparse sweeps. The two engines
-// produce identical behaviour — the CI identity gate proves it — so this
-// exists as the -no-soa escape hatch and as the lockstep test's baseline.
+// produce identical behaviour — the lockstep tests and the CI identity
+// gate prove it — so this exists as the exact engine's sweep and as the
+// lockstep test's baseline.
 func (r *Router) SetReferenceSweep(on bool) { r.sweepRef = on }
 
 // Signals returns the current cycle's signal record. The record is

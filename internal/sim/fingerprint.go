@@ -45,9 +45,8 @@ func (ni *NI) foldState(h uint64) uint64 {
 // fingerprints agree at a cycle boundary will, up to hash collision,
 // produce identical simulations from that boundary on: the enumeration
 // covers exactly the state CloneInto copies, which is by construction
-// everything the next Step reads. Fault campaigns compare a faulty
-// run's fingerprint against the golden run's recorded per-cycle
-// fingerprints to detect reconvergence and end masked-fault runs early.
+// everything the next Step reads. Fault campaigns verify every fork's
+// replayed state against the golden fingerprint at the fork point.
 //
 // Like cloning, the fingerprint is only meaningful at a cycle boundary.
 // The ejection log is deliberately excluded — callers compare ejection
@@ -87,8 +86,8 @@ func (n *Network) foldBody(h uint64) uint64 {
 }
 
 // NextPacketID returns the id the next generated packet will take —
-// one of the cheap counters campaigns compare before paying for a full
-// Fingerprint.
+// one of the counters campaigns compare with golden's before declaring
+// reconvergence.
 func (n *Network) NextPacketID() uint64 { return n.nextPkt }
 
 // FaultsQuiescent reports whether the attached fault plane can no

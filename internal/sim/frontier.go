@@ -9,10 +9,13 @@ import (
 	"nocalert/internal/topology"
 )
 
-// Frontier is the divergence-frontier delta engine: it steps a forked
-// faulty network by simulating only the nodes a fault's perturbation
-// can have reached, replaying everything else from the golden signal
-// transcript (see record.go).
+// Frontier is the divergence-frontier delta engine: attached to a
+// forked faulty network, it restricts Network.Step to the nodes a
+// fault's perturbation can have reached, replaying everything else from
+// the golden signal transcript (see record.go). It adds no step loop of
+// its own: Step runs its usual phases over the members, and at each
+// phase the frontier replays the clean nodes' recorded signals and
+// compares the members' outbound traffic with the record.
 //
 // The invariant: a node outside the frontier holds exactly the golden
 // state of some past boundary (validAt), and every signal it has
@@ -29,9 +32,8 @@ import (
 //
 // Members retire once the fault plane is quiescent and their per-node
 // state fold returns to the recorded golden fold for the same boundary;
-// a frontier that shrinks to empty with a clean ejection history IS
-// reconvergence — the unification with the campaign's fingerprint
-// timeline probe.
+// a frontier that shrinks to empty with a clean ejection history is
+// reconvergence: from then on the faulty run replays golden.
 //
 // Everything observable stays exact: monitors are fed the merged event
 // stream (live events from members, recorded events from clean nodes),
@@ -55,16 +57,18 @@ type Frontier struct {
 	peak  int
 	joins int64
 
-	// per-cycle scratch
-	members   []int
-	steppedS  []int
-	pendF     []pendFlit
-	pendC     []pendCred
-	matchedF  []bool
-	matchedC  []bool
-	joinList  []int
-	ejScratch []*flit.Flit
-	genPkt    flit.Packet
+	// per-cycle scratch: the members at the start of the cycle
+	// (ascending), transcript cursors for the node-ordered generation,
+	// send and ejection records, held member→clean traffic, and joins.
+	members       []int
+	gi, si, ei    int
+	gHi, sHi, eHi int
+	pendF         []pendFlit
+	pendC         []pendCred
+	matchedF      []bool
+	matchedC      []bool
+	joinList      []int
+	genPkt        flit.Packet
 }
 
 // pendFlit is a member's live emission toward a clean node, held until
@@ -83,10 +87,11 @@ type pendCred struct {
 	mask     uint32
 }
 
-// NewFrontier builds a frontier over n seeded with the given node ids
-// (the fault sites). n must stand at the transcript's start boundary —
-// the state every node's validAt is pinned to — and rec must be the
-// golden transcript of the window about to be stepped.
+// NewFrontier attaches a frontier to n seeded with the given node ids
+// (the fault sites); every later n.Step is frontier-restricted until
+// MaterializeAll. n must stand at the transcript's start boundary — the
+// state every node's validAt is pinned to — and rec must be the golden
+// transcript of the window about to be stepped.
 func NewFrontier(n *Network, rec *Recording, seeds []int) *Frontier {
 	if n.cycle != rec.start {
 		panic(fmt.Sprintf("sim: frontier fork at cycle %d does not match transcript start %d", n.cycle, rec.start))
@@ -111,11 +116,9 @@ func NewFrontier(n *Network, rec *Recording, seeds []int) *Frontier {
 		}
 	}
 	f.peak = f.size
+	n.fr = f
 	return f
 }
-
-// Size returns the current frontier membership count.
-func (f *Frontier) Size() int { return f.size }
 
 // Empty reports whether no node is divergent.
 func (f *Frontier) Empty() bool { return f.size == 0 }
@@ -131,179 +134,87 @@ func (f *Frontier) Peak() int { return f.peak }
 // retires and diverges again counts once per join).
 func (f *Frontier) Joins() int64 { return f.joins }
 
-// Step simulates one cycle of the faulty network, stepping only
-// frontier members and replaying every other node's signals from the
-// golden transcript. It mirrors Network.Step phase for phase, so the
-// merged monitor event stream, ejection log and counters are identical
-// to a full simulation's.
-func (f *Frontier) Step() {
-	n := f.n
-	t := n.cycle
+// beginCycle snapshots the membership cycle t is stepped with and
+// positions the transcript cursors at cycle t's records.
+func (f *Frontier) beginCycle(t int64) {
 	if !f.rec.covers(t) {
 		panic(fmt.Sprintf("sim: frontier stepped to cycle %d outside transcript [%d,%d)", t, f.rec.start, f.rec.start+int64(f.rec.Cycles())))
 	}
 	copy(f.wasMember, f.inF)
-	members := f.members[:0]
+	f.members = f.members[:0]
 	for i, m := range f.inF {
 		if m {
-			members = append(members, i)
+			f.members = append(f.members, i)
 		}
 	}
-	f.members = members
-
-	f.stepGeneration(t)
-
-	// Router pipelines: members only, in ascending node order, with the
-	// same inert-router skip Network.Step applies (gated off while the
-	// plane is live; an inert member is a provable no-op either way).
-	skipInert := !n.soaOff && !n.plane.LiveAt(t)
-	steppedIDs := f.steppedS[:0]
-	for _, id := range members {
-		r := n.routers[id]
-		if skipInert && r.Inert() {
-			continue
-		}
-		r.BeginCycle(t)
-		r.Evaluate(t)
-		steppedIDs = append(steppedIDs, id)
-	}
-	f.steppedS = steppedIDs
-
-	f.stepLinks(t, steppedIDs)
-
-	// Monitors observe member routers (ascending). Clean routers replay
-	// golden, which is invariant-clean, so skipping them is exact for
-	// NoCAlert's combinational checkers; ForEVeR's RouterCycle is pure
-	// per-cycle detection over the same signals and never flags a clean
-	// router either.
-	for _, m := range n.monitors {
-		for _, id := range steppedIDs {
-			r := n.routers[id]
-			m.RouterCycle(r, r.Signals())
-		}
-	}
-
-	f.stepNIs(t)
-
-	for _, m := range n.monitors {
-		m.EndCycle(t)
-	}
-	n.cycle = t + 1
-
-	f.retire(t)
-}
-
-// stepGeneration runs the merged packet-generation phase: members draw
-// their traffic RNG live (the generation process is fault-independent,
-// so their draws necessarily equal golden's records), clean nodes
-// replay the recorded events without touching any state. Either way the
-// monitor announcements and the nextPkt/pktsOffered counters advance in
-// golden's exact node order.
-func (f *Frontier) stepGeneration(t int64) {
-	n := f.n
-	if !n.injecting || n.pktProb <= 0 {
-		return
-	}
-	lo, hi := f.rec.seg(f.rec.genIdx, t)
-	gi := lo
-	for id, ni := range n.nis {
-		if f.wasMember[id] {
-			// Skip this node's record (the live draw reproduces it).
-			for gi < hi && int(f.rec.gens[gi].node) == id {
-				gi++
-			}
-			if !ni.gen.Bernoulli(n.pktProb) {
-				continue
-			}
-			class := n.pickClass(ni.gen)
-			p := &flit.Packet{
-				ID:         n.nextPkt,
-				Src:        id,
-				Dest:       n.cfg.Pattern.Dest(n.mesh, id, ni.gen),
-				Class:      class,
-				Length:     n.rcfg.PacketLen(class),
-				Payload:    ni.gen.Uint64(),
-				InjectedAt: t,
-			}
-			n.nextPkt++
-			n.pktsOffered++
-			ni.enqueue(p)
-			for _, m := range n.monitors {
-				m.PacketInjected(t, id, p)
-			}
-			continue
-		}
-		for gi < hi && int(f.rec.gens[gi].node) == id {
-			g := &f.rec.gens[gi]
-			gi++
-			// Reconstruct the packet for the monitors only; the NI's
-			// queue and RNG stay untouched (they are stale by design).
-			// Monitors read the packet during the call and do not
-			// retain it, so one scratch value serves every event.
-			f.genPkt = flit.Packet{
-				ID:         g.id,
-				Src:        id,
-				Dest:       int(g.dest),
-				Class:      int(g.class),
-				Length:     n.rcfg.PacketLen(int(g.class)),
-				Payload:    g.payload,
-				InjectedAt: t,
-			}
-			n.nextPkt++
-			n.pktsOffered++
-			for _, m := range n.monitors {
-				m.PacketInjected(t, id, &f.genPkt)
-			}
-		}
-	}
-}
-
-// stepLinks runs the link-traversal phase: live delivery between
-// members, golden replay from clean nodes into members, and the
-// divergence comparison — every member emission toward a clean node is
-// checked against the record, and any deviation (different value, extra
-// signal, missing signal) joins the target.
-func (f *Frontier) stepLinks(t int64, steppedIDs []int) {
-	n := f.n
+	f.gi, f.gHi = f.rec.seg(f.rec.genIdx, t)
+	f.si, f.sHi = f.rec.seg(f.rec.sendIdx, t)
+	f.ei, f.eHi = f.rec.seg(f.rec.ejectIdx, t)
 	f.pendF = f.pendF[:0]
 	f.pendC = f.pendC[:0]
+}
 
-	for _, id := range steppedIDs {
-		r := n.routers[id]
-		for _, d := range r.Signals().Departures {
-			dir := topology.Direction(d.OutPort)
-			if dir == topology.Local {
-				n.nis[id].flitArrived(d.Flit, t+1)
-				continue
-			}
-			nb, ok := n.mesh.Neighbor(id, dir)
-			if !ok {
-				continue // fault-driven misroute off the fabric
-			}
-			if f.wasMember[nb] {
-				n.routers[nb].StageArrival(dir.Opposite(), d.Flit)
-				continue
-			}
-			f.pendF = append(f.pendF, pendFlit{src: id, dst: nb, port: dir.Opposite(), f: d.Flit})
+// replayGen consumes node id's recorded packet generations for cycle t
+// and reports whether the node generates live. A member does: the
+// generation process is fault-independent, so its live draws equal the
+// records it skips. A clean node's records are announced to the
+// monitors and advance the packet counters in golden's node order,
+// without touching its (stale by design) NI queue and RNG.
+func (f *Frontier) replayGen(id int, t int64) bool {
+	n := f.n
+	for ; f.gi < f.gHi && int(f.rec.gens[f.gi].node) == id; f.gi++ {
+		if f.wasMember[id] {
+			continue
 		}
-		for _, c := range r.Credits() {
-			if c.Port == topology.Local {
-				n.nis[id].creditArrived(c.VC, t+1)
-				continue
-			}
-			nb, ok := n.mesh.Neighbor(id, c.Port)
-			if !ok {
-				continue
-			}
-			if f.wasMember[nb] {
-				n.routers[nb].StageCredit(c.Port.Opposite(), c.VC)
-				continue
-			}
-			f.addPendCredit(id, nb, c.Port.Opposite(), c.VC)
+		g := &f.rec.gens[f.gi]
+		// Monitors read the packet during the call and do not retain
+		// it, so one scratch value serves every event.
+		f.genPkt = flit.Packet{
+			ID:         g.id,
+			Src:        id,
+			Dest:       int(g.dest),
+			Class:      int(g.class),
+			Length:     n.rcfg.PacketLen(int(g.class)),
+			Payload:    g.payload,
+			InjectedAt: t,
+		}
+		n.nextPkt++
+		n.pktsOffered++
+		for _, m := range n.monitors {
+			m.PacketInjected(t, id, &f.genPkt)
 		}
 	}
+	return f.wasMember[id]
+}
 
-	// Compare member→clean traffic against the record and collect joins.
+// holdFlit holds a member's live flit toward a clean node for exchange.
+func (f *Frontier) holdFlit(src, dst int, port topology.Direction, fl *flit.Flit) {
+	f.pendF = append(f.pendF, pendFlit{src: src, dst: dst, port: port, f: fl})
+}
+
+// holdCredit aggregates a member's live credit toward a clean node into
+// the per-link VC mask held for exchange.
+func (f *Frontier) holdCredit(src, dst int, port topology.Direction, vc int) {
+	for i := len(f.pendC) - 1; i >= 0; i-- {
+		pc := &f.pendC[i]
+		if pc.src != src {
+			break
+		}
+		if pc.dst == dst {
+			pc.mask |= 1 << uint(vc)
+			return
+		}
+	}
+	f.pendC = append(f.pendC, pendCred{src: src, dst: dst, port: port, mask: 1 << uint(vc)})
+}
+
+// exchange finishes cycle t's link phase across the frontier boundary:
+// every held member emission toward a clean node is checked against the
+// record, and any deviation (different value, extra signal, missing
+// signal) joins the target; clean nodes' recorded emissions are
+// delivered into members; and the joiners are materialized.
+func (f *Frontier) exchange(t int64) {
+	n := f.n
 	lLo, lHi := f.rec.seg(f.rec.linkIdx, t)
 	cLo, cHi := f.rec.seg(f.rec.credIdx, t)
 	f.matchedF = growBools(f.matchedF, lHi-lLo)
@@ -400,75 +311,53 @@ func (f *Frontier) markJoin(id int) {
 	f.joinList = append(f.joinList, id)
 }
 
-// addPendCredit aggregates a member's live credit toward a clean node
-// into the per-link VC mask.
-func (f *Frontier) addPendCredit(src, dst int, port topology.Direction, vc int) {
-	for i := len(f.pendC) - 1; i >= 0; i-- {
-		pc := &f.pendC[i]
-		if pc.src != src {
-			break
-		}
-		if pc.dst == dst {
-			pc.mask |= 1 << uint(vc)
-			return
+// replayNI consumes node id's recorded send strobe and ejections for
+// cycle t and reports whether the node's NI ticks live. A member does,
+// and gets its recorded ejections back for compareEjections. A clean
+// node — including this cycle's joiners, whose cycle-t NI effects were
+// computed from still-golden state and so equal the record — replays
+// its records into the counters, the log and the monitors.
+func (f *Frontier) replayNI(id int, t int64) ([]recEject, bool) {
+	n := f.n
+	sent := f.si < f.sHi && int(f.rec.sends[f.si]) == id
+	if sent {
+		f.si++
+	}
+	lo := f.ei
+	for f.ei < f.eHi && int(f.rec.ejects[f.ei].node) == id {
+		f.ei++
+	}
+	if f.wasMember[id] {
+		return f.rec.ejects[lo:f.ei], true
+	}
+	if sent {
+		n.flitsInjected++
+	}
+	for i := lo; i < f.ei; i++ {
+		fl := n.arena.CloneOf(&f.rec.ejects[i].flit)
+		n.flitsEjected++
+		n.ejections = append(n.ejections, Ejection{Node: id, Cycle: t, Flit: fl})
+		for _, m := range n.monitors {
+			m.FlitEjected(t, id, fl)
 		}
 	}
-	f.pendC = append(f.pendC, pendCred{src: src, dst: dst, port: port, mask: 1 << uint(vc)})
+	return nil, false
 }
 
-// stepNIs runs the network-interface phase: members tick live (their
-// ejections compared against the record to maintain the clean flag),
-// clean nodes — including this cycle's joiners, whose cycle-t NI
-// effects were computed from still-golden state and so equal the record
-// — replay their recorded send strobes and ejections into the counters,
-// the log and the monitors.
-func (f *Frontier) stepNIs(t int64) {
-	n := f.n
-	sLo, sHi := f.rec.seg(f.rec.sendIdx, t)
-	eLo, eHi := f.rec.seg(f.rec.ejectIdx, t)
-	si, ei := sLo, eLo
-	for id, ni := range n.nis {
-		if f.wasMember[id] {
-			f.ejScratch = f.ejScratch[:0]
-			if ni.tickInject(t, n.routers[id], &f.ejScratch) {
-				n.flitsInjected++
-			}
-			// A member's send strobe is live; skip golden's record of it.
-			if si < sHi && int(f.rec.sends[si]) == id {
-				si++
-			}
-			// Compare the member's live ejections with golden's.
-			recLo := ei
-			for ei < eHi && int(f.rec.ejects[ei].node) == id {
-				ei++
-			}
-			if f.clean && ei-recLo != len(f.ejScratch) {
-				f.clean = false
-			}
-			for i, fl := range f.ejScratch {
-				if f.clean && f.rec.ejects[recLo+i].flit != *fl {
-					f.clean = false
-				}
-				n.flitsEjected++
-				n.ejections = append(n.ejections, Ejection{Node: id, Cycle: t, Flit: fl})
-				for _, m := range n.monitors {
-					m.FlitEjected(t, id, fl)
-				}
-			}
-			continue
-		}
-		if si < sHi && int(f.rec.sends[si]) == id {
-			si++
-			n.flitsInjected++
-		}
-		for ei < eHi && int(f.rec.ejects[ei].node) == id {
-			fl := n.arena.CloneOf(&f.rec.ejects[ei].flit)
-			ei++
-			n.flitsEjected++
-			n.ejections = append(n.ejections, Ejection{Node: id, Cycle: t, Flit: fl})
-			for _, m := range n.monitors {
-				m.FlitEjected(t, id, fl)
-			}
+// compareEjections clears the clean flag unless a member's live
+// ejections equal golden's recorded ones, value for value.
+func (f *Frontier) compareEjections(want []recEject, got []*flit.Flit) {
+	if !f.clean {
+		return
+	}
+	if len(want) != len(got) {
+		f.clean = false
+		return
+	}
+	for i, fl := range got {
+		if want[i].flit != *fl {
+			f.clean = false
+			return
 		}
 	}
 }
@@ -582,8 +471,8 @@ func (f *Frontier) replayNode(id int, through int64) {
 				}
 			}
 		}
-		f.ejScratch = f.ejScratch[:0]
-		ni.tickInject(s, r, &f.ejScratch)
+		n.ejectScratch = n.ejectScratch[:0]
+		ni.tickInject(s, r, &n.ejectScratch)
 		// Replayed ejections and send strobes are discarded: they were
 		// logged and counted from the records when cycle s completed.
 	}
@@ -608,8 +497,9 @@ func (f *Frontier) genIDFor(s int64, node int) uint64 {
 // legal because a clean node's state and inputs are golden's by the
 // frontier invariant. Members keep their live (divergent) state; the
 // network-level counters were maintained cycle by cycle and are not
-// touched. After this the network is an ordinary full simulation again
-// (the campaign's drain and horizon phases step it normally).
+// touched. The frontier detaches: after this the network is an ordinary
+// full simulation again (the campaign's drain and horizon phases step
+// it normally).
 func (f *Frontier) MaterializeAll(wend *Network) {
 	n := f.n
 	if wend.cycle != n.cycle {
@@ -622,6 +512,7 @@ func (f *Frontier) MaterializeAll(wend *Network) {
 		n.routers[i] = wend.routers[i].CloneInto(n.routers[i], n.plane, n.arena)
 		n.nis[i] = wend.nis[i].cloneInto(n.nis[i], n.arena)
 	}
+	n.fr = nil
 }
 
 // stageCreditMask stages one credit per set VC bit.

@@ -53,7 +53,7 @@ func frontierLockstep(t *testing.T, w, h int, rate float64, seed uint64, plane *
 
 	for i := int64(0); i < window; i++ {
 		ref.Step()
-		fr.Step()
+		fn.Step()
 		tb := fork + i // the cycle just stepped
 		for id := range fn.routers {
 			if fr.inF[id] {

@@ -34,8 +34,8 @@ type Config struct {
 	// full VC range every cycle and the network steps every router, with
 	// no activity-mask shortcuts. Storage is identical either way (the
 	// structure-of-arrays state), so both engines produce bit-identical
-	// simulations; the reference engine exists as the comparison baseline
-	// for the identity gates. Campaigns thread the -no-soa flag here.
+	// simulations; the reference engine is the comparison baseline for
+	// the lockstep tests, and the exact campaign engine steps with it.
 	DisableSoA bool
 }
 
@@ -84,6 +84,15 @@ type Network struct {
 	// record and credit staging are stale).
 	steppedScratch []*router.Router
 
+	// ids lists every node id in ascending order: the router sweep's
+	// visiting order when no frontier restricts it. Shared read-only
+	// between clones.
+	ids []int
+	// fr, when non-nil, is the divergence frontier restricting live
+	// stepping to its members (see frontier.go). Attached by NewFrontier,
+	// detached by MaterializeAll; never copied by Clone/CloneInto.
+	fr *Frontier
+
 	// arena backs flit copies when this network is a CloneInto target;
 	// it is reset and refilled on every re-fork.
 	arena *flit.Arena
@@ -117,7 +126,9 @@ func New(cfg Config, plane *fault.Plane) (*Network, error) {
 	n.st = soa.NewState(soa.Layout{R: nodes, P: router.P, V: rcfg.VCs})
 	n.routers = make([]*router.Router, nodes)
 	n.nis = make([]*NI, nodes)
+	n.ids = make([]int, nodes)
 	for i := 0; i < nodes; i++ {
+		n.ids[i] = i
 		n.routers[i] = router.NewInState(i, n.rcfg, plane, n.st.View(i))
 		n.routers[i].SetReferenceSweep(cfg.DisableSoA)
 		nic, nif := n.st.NIView(i)
@@ -233,13 +244,25 @@ func (n *Network) InjectPacket(src, dest, class int) uint64 {
 	return p.ID
 }
 
-// Step simulates one cycle.
+// Step simulates one cycle, phase by phase: packet generation, router
+// pipelines, link traversal, monitors, network interfaces, end of
+// cycle. It is the simulator's only per-cycle phase sequence. With a
+// divergence frontier attached (see frontier.go) only the frontier's
+// members are simulated live; at each phase every other node's signals
+// are replayed from the golden transcript instead.
 func (n *Network) Step() {
 	t := n.cycle
+	fr := n.fr
+	if fr != nil {
+		fr.beginCycle(t)
+	}
 
 	// Packet generation (per-node Bernoulli process).
 	if n.injecting && n.pktProb > 0 {
 		for id, ni := range n.nis {
+			if fr != nil && !fr.replayGen(id, t) {
+				continue
+			}
 			if !ni.gen.Bernoulli(n.pktProb) {
 				continue
 			}
@@ -272,28 +295,28 @@ func (n *Network) Step() {
 	// of the mesh is in that state. A live fault window can conjure
 	// activity out of an idle router (a register upset needs BeginCycle
 	// to apply), so skipping is gated off while the plane is live.
+	ids := n.ids
+	if fr != nil {
+		ids = fr.members
+	}
+	skipInert := !n.soaOff && !n.plane.LiveAt(t)
 	stepped := n.steppedScratch[:0]
-	if !n.soaOff && !n.plane.LiveAt(t) {
-		for _, r := range n.routers {
-			if r.Inert() {
-				continue
-			}
-			r.BeginCycle(t)
-			r.Evaluate(t)
-			stepped = append(stepped, r)
+	for _, id := range ids {
+		r := n.routers[id]
+		if skipInert && r.Inert() {
+			continue
 		}
-	} else {
-		for _, r := range n.routers {
-			r.BeginCycle(t)
-			r.Evaluate(t)
-		}
-		stepped = append(stepped, n.routers...)
+		r.BeginCycle(t)
+		r.Evaluate(t)
+		stepped = append(stepped, r)
 	}
 	n.steppedScratch = stepped
 
 	// Link traversal: distribute departures and credits for cycle t+1.
 	// Only stepped routers are visited — a skipped router's signal record
-	// and credit staging are leftovers from the last cycle it ran.
+	// and credit staging are leftovers from the last cycle it ran. Under
+	// a frontier, traffic toward a clean node is held for comparison with
+	// the transcript instead of delivered.
 	for _, r := range stepped {
 		id := r.ID()
 		for _, d := range r.Signals().Departures {
@@ -302,34 +325,50 @@ func (n *Network) Step() {
 				n.nis[id].flitArrived(d.Flit, t+1)
 				continue
 			}
-			if nb, ok := n.mesh.Neighbor(id, dir); ok {
-				n.routers[nb].StageArrival(dir.Opposite(), d.Flit)
-				if n.rec != nil {
-					n.rec.recordLink(id, nb, int(dir.Opposite()), d.Flit)
-				}
-			}
 			// A departure through a port the mesh does not have (a
 			// fault-driven misroute at an edge router) falls off the
 			// fabric: the flit is lost.
+			nb, ok := n.mesh.Neighbor(id, dir)
+			if !ok {
+				continue
+			}
+			if fr != nil && !fr.wasMember[nb] {
+				fr.holdFlit(id, nb, dir.Opposite(), d.Flit)
+				continue
+			}
+			n.routers[nb].StageArrival(dir.Opposite(), d.Flit)
+			if n.rec != nil {
+				n.rec.recordLink(id, nb, int(dir.Opposite()), d.Flit)
+			}
 		}
 		for _, c := range r.Credits() {
 			if c.Port == topology.Local {
 				n.nis[id].creditArrived(c.VC, t+1)
 				continue
 			}
-			if nb, ok := n.mesh.Neighbor(id, c.Port); ok {
-				n.routers[nb].StageCredit(c.Port.Opposite(), c.VC)
-				if n.rec != nil {
-					n.rec.recordCredit(id, nb, int(c.Port.Opposite()), c.VC)
-				}
+			nb, ok := n.mesh.Neighbor(id, c.Port)
+			if !ok {
+				continue
+			}
+			if fr != nil && !fr.wasMember[nb] {
+				fr.holdCredit(id, nb, c.Port.Opposite(), c.VC)
+				continue
+			}
+			n.routers[nb].StageCredit(c.Port.Opposite(), c.VC)
+			if n.rec != nil {
+				n.rec.recordCredit(id, nb, int(c.Port.Opposite()), c.VC)
 			}
 		}
+	}
+	if fr != nil {
+		fr.exchange(t)
 	}
 
 	// Monitors observe the completed cycle. Skipped routers are not
 	// visited: every monitor is vacuous on an inert router's (empty)
 	// signal record, so the observation stream is identical to the
-	// reference engine's.
+	// reference engine's. Neither are a frontier's clean routers: they
+	// replay the invariant-clean golden run, on which no checker fires.
 	for _, m := range n.monitors {
 		for _, r := range stepped {
 			m.RouterCycle(r, r.Signals())
@@ -338,13 +377,22 @@ func (n *Network) Step() {
 
 	// Network interfaces.
 	for id, ni := range n.nis {
+		var want []recEject
+		if fr != nil {
+			var live bool
+			if want, live = fr.replayNI(id, t); !live {
+				continue
+			}
+		}
 		n.ejectScratch = n.ejectScratch[:0]
-		sent := ni.tickInject(t, n.routers[id], &n.ejectScratch)
-		if sent {
+		if ni.tickInject(t, n.routers[id], &n.ejectScratch) {
 			n.flitsInjected++
 			if n.rec != nil {
 				n.rec.recordSend(id)
 			}
+		}
+		if fr != nil {
+			fr.compareEjections(want, n.ejectScratch)
 		}
 		for _, f := range n.ejectScratch {
 			n.flitsEjected++
@@ -364,6 +412,9 @@ func (n *Network) Step() {
 	n.cycle = t + 1
 	if n.rec != nil {
 		n.rec.closeCycle(n)
+	}
+	if fr != nil {
+		fr.retire(t)
 	}
 }
 
@@ -517,6 +568,8 @@ func (c *Network) copyScalars(n *Network, plane *fault.Plane) {
 	c.mesh = n.mesh
 	c.plane = plane
 	c.soaOff = n.soaOff
+	c.ids = n.ids
+	c.fr = nil
 	c.planeInert = false
 	c.planeQuiescent = false
 	c.cycle = n.cycle

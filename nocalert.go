@@ -525,7 +525,7 @@ func NewTracer(o TracerOptions) *Tracer { return obs.New(o) }
 func ReadSpans(r io.Reader) ([]SpanRecord, error) { return obs.ReadSpans(r) }
 
 // FlightRecorder is the bounded anomaly black box: recent campaign
-// events (fork verifications, fingerprint probes, detections) in a
+// events (fork verifications, emptied frontiers, detections) in a
 // ring that auto-dumps to its sink on anomalies such as fork-verify
 // mismatches or missed-detection verdicts. Attach it via
 // CampaignOptions.FlightRecorder. Nil-safe.
