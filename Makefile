@@ -14,7 +14,7 @@ GOLDEN_FLAGS = -mesh 4x4 -vcs 4 -rate 0.12 -seed 3 -inject 300 -post 400 \
 # merge — add tests instead.
 COVER_FLOOR = 85.0
 
-.PHONY: all build fmt vet lint test race cover e2e bench benchcheck benchdelta ci golden shardcheck exact-identity build386
+.PHONY: all build fmt vet lint test race cover e2e bench benchcheck ci golden shardcheck exact-identity build386
 
 all: ci
 
@@ -134,19 +134,6 @@ benchcheck:
 		-benchbaseline BENCH_4x4.json
 	$(GO) run ./cmd/faultcampaign $(BENCH_8X8_FLAGS) -workers 1 \
 		-benchname campaign-8x8-frontier -benchbaseline BENCH_8x8.json
-
-# benchdelta renders a per-(name, engine) throughput comparison between
-# the committed bench trajectories (HEAD) and the working copies —
-# typically right after `make bench`. Report-only; benchcheck is the
-# gate.
-benchdelta:
-	@mkdir -p .benchdelta
-	@for f in BENCH_4x4.json BENCH_8x8.json BENCH_16x16.json; do \
-		if git show HEAD:$$f > .benchdelta/$$f 2>/dev/null && [ -f $$f ]; then \
-			$(GO) run ./cmd/faultcampaign benchdelta -baseline .benchdelta/$$f -current $$f; \
-		fi; \
-	done
-	@rm -rf .benchdelta
 
 # golden regenerates the committed fixtures — the 4×4, 8×8 and 16×16
 # record fixtures and the full JSON report fixtures the exact-identity

@@ -56,10 +56,6 @@ func main() {
 		dispatchMain(os.Args[2:])
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "benchdelta" {
-		benchDeltaMain(os.Args[2:])
-		return
-	}
 	var (
 		meshSpec  = flag.String("mesh", "8x8", "mesh dimensions WxH")
 		vcs       = flag.Int("vcs", 4, "virtual channels per port")

@@ -8,16 +8,19 @@
 // A campaign runs on one of two engines, which produce byte-identical
 // reports:
 //
-//   - fast (the default) takes every shortcut. Runs fork from golden
-//     snapshots at their injection cycle; a fault that provably never
-//     fired copies a precomputed fault-free template (fast path); the
-//     post-injection window steps only the fault's divergence frontier
-//     and ends early once the frontier empties with a clean ejection
-//     history (reconvergence); and frozen drains and horizons are
-//     synthesized instead of stepped (fast-forward).
+//   - fast (the default) takes every shortcut. The golden run is
+//     snapshotted at every distinct injection cycle, so runs fork with
+//     no replay; its fault-free continuation from each injection cycle
+//     is simulated once and doubles as the template a fault that
+//     provably never fired copies (fast path); the post-injection
+//     window steps only the fault's divergence frontier and ends early
+//     once the frontier empties with a clean ejection history
+//     (reconvergence); and frozen drains and horizons are synthesized
+//     instead of stepped (fast-forward).
 //   - exact (Options.DisableFastPath) is the oracle the shortcuts are
 //     checked against: every run replays its whole prefix from one
-//     cycle-0 snapshot and simulates its window, drain and ForEVeR
+//     cycle-0 snapshot, verified against the golden fingerprint at its
+//     injection cycle, and simulates its window, drain and ForEVeR
 //     horizon in full, with the reference sweep on every router.
 //
 // Runs execute on a small worker pool; each worker reuses one clone
@@ -320,9 +323,10 @@ type Report struct {
 	// ForkedRuns counts runs that warm-started from a golden snapshot
 	// above cycle 0, skipping their [0, snapshot) prefix entirely.
 	ForkedRuns int
-	// SnapshotCount and SnapshotBytes describe the golden snapshot
-	// ring: how many full-state snapshots the golden run recorded and
-	// their estimated memory footprint.
+	// SnapshotCount and SnapshotBytes describe the golden snapshots
+	// runs fork from — one per distinct injection cycle on the fast
+	// engine, one at cycle 0 on the exact engine — and their estimated
+	// memory footprint.
 	SnapshotCount int
 	SnapshotBytes int64
 	// SimulatedCycles counts cycles faulty runs actually stepped
@@ -353,14 +357,16 @@ type worker struct {
 }
 
 // groupCtx is the per-injection-cycle golden context shared by every
-// run injecting at that cycle: the snapshot to fork from, the golden
-// fingerprint at the fork point (each fork's replay is verified against
-// it), the golden reference log and ForEVeR monitor of the fault-free
+// run injecting at that cycle: the golden snapshot to fork from (at the
+// injection cycle on the fast engine, at cycle 0 on the exact engine),
+// the golden fingerprint at the injection cycle (set only when the
+// snapshot precedes it; each fork's replay is verified against it), the
+// golden reference log and ForEVeR monitor of the fault-free
 // continuation, the fault-free template, and the golden window records
 // the divergence frontier and reconvergence use.
 type groupCtx struct {
 	cycle  int64
-	snap   *snapshot
+	snap   *sim.Network
 	forkFP uint64
 
 	goldenLog       *golden.Log
@@ -368,6 +374,8 @@ type groupCtx struct {
 	goldenFvFP      bool
 	goldenEjections int
 
+	// tmpl is the fast engine's fault-free template: the result of the
+	// golden continuation itself, classified like a faulty run.
 	tmpl RunResult
 
 	// rec, wend and tl drive the fast engine's post-injection window:
@@ -382,7 +390,9 @@ type groupCtx struct {
 	tl   *golden.Timeline
 }
 
-// Run executes the campaign.
+// Run executes the campaign: one golden pass that builds a groupCtx per
+// distinct injection cycle (see buildGroupCtx), then every fault group's
+// run on the worker pool (see runOne).
 func Run(opts Options) (*Report, error) {
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -407,10 +417,10 @@ func Run(opts Options) (*Report, error) {
 	camp := o.Tracer.Start(o.TraceParent, "campaign", "campaign")
 
 	// Golden mainline: one fault-free run stepped once from cycle 0 to
-	// the last injection cycle, capturing the snapshot ring along the
-	// way and spawning one golden continuation per injection cycle.
-	plan := planSnapshots(&o, cycles)
-	ring := &snapshotRing{}
+	// the last injection cycle, spawning one golden continuation per
+	// injection cycle. The fast engine snapshots it at every injection
+	// cycle, so no fork replays; the exact engine snapshots it once, at
+	// cycle 0, so every run replays its whole prefix.
 	mainline, err := sim.New(o.Sim, nil)
 	if err != nil {
 		camp.End()
@@ -419,22 +429,19 @@ func Run(opts Options) (*Report, error) {
 	if !o.DisableForever {
 		mainline.AttachMonitor(forever.NewMonitor(mainline.RouterConfig(), o.Forever))
 	}
+	snapCount := len(cycles)
+	var base *sim.Network
+	if o.exact() {
+		snapCount = 1
+		base = mainline.CloneInto(nil, nil)
+	}
 	gcOf := make(map[int64]*groupCtx, len(cycles))
-	next := 0 // next snapshot plan entry
-	var tw worker
 	warm := camp.Child("phase", "golden-warmup")
 	for ci, c := range cycles {
-		for {
-			if next < len(plan) && mainline.Cycle() == plan[next] {
-				ring.capture(mainline)
-				next++
-			}
-			if mainline.Cycle() >= c {
-				break
-			}
+		for mainline.Cycle() < c {
 			mainline.Step()
 		}
-		gc, err := buildGroupCtx(mainline, ring, &tw, o, c, ci == len(cycles)-1)
+		gc, err := buildGroupCtx(mainline, base, o, c, ci == len(cycles)-1)
 		if err != nil {
 			warm.End()
 			camp.End()
@@ -449,20 +456,22 @@ func Run(opts Options) (*Report, error) {
 			timelineBytes += gc.wend.ApproxFootprintBytes()
 		}
 	}
+	first := gcOf[cycles[0]]
+	// Snapshots carry no transcript, so all share one footprint.
+	snapBytes := int64(snapCount) * first.snap.ApproxFootprintBytes()
 	warm.SetAttr("injection_cycles", len(cycles))
-	warm.SetAttr("snapshots", len(ring.snaps))
-	warm.SetAttr("snapshot_bytes", ring.bytes)
+	warm.SetAttr("snapshots", snapCount)
+	warm.SetAttr("snapshot_bytes", snapBytes)
 	warm.SetAttr("golden_cycle", mainline.Cycle())
 	warm.End()
 
-	first := gcOf[cycles[0]]
 	report := &Report{
 		Opts:                       o,
 		GoldenEjections:            first.goldenEjections,
 		GoldenForeverFalsePositive: first.goldenFvFP,
 		Results:                    make([]RunResult, len(o.FaultGroups)),
-		SnapshotCount:              len(ring.snaps),
-		SnapshotBytes:              ring.bytes,
+		SnapshotCount:              snapCount,
+		SnapshotBytes:              snapBytes,
 		TimelineBytes:              timelineBytes,
 	}
 
@@ -483,7 +492,7 @@ func Run(opts Options) (*Report, error) {
 	var inst *instruments
 	if o.Metrics != nil {
 		inst = newInstruments(o.Metrics, o.Workers, total)
-		o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(ring.bytes))
+		o.Metrics.Gauge(MetricSnapshotBytes).Set(float64(snapBytes))
 		o.Metrics.Gauge(MetricTimelineBytes).Set(float64(timelineBytes))
 	}
 	// Per-run wall clocks are only read when someone is listening; the
@@ -562,8 +571,9 @@ func Run(opts Options) (*Report, error) {
 		}()
 	}
 	// Feed runs in injection-cycle order (stable within a cycle) so
-	// consecutive runs share a snapshot and its replayed gap stays warm
-	// in cache. Results remain input-indexed regardless of feed order.
+	// consecutive runs share a snapshot and golden records that stay
+	// warm in cache. Results remain input-indexed regardless of feed
+	// order.
 	order := make([]int, total)
 	for i := range order {
 		order[i] = i
@@ -622,31 +632,47 @@ feed:
 // everything runs at that cycle share. The mainline network itself
 // continues for the last injection cycle; earlier cycles continue on a
 // clone so the mainline can keep stepping toward the next fork point.
-// The mainline must be at cycle c and the ring must already hold a
-// snapshot at or before c.
-func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Options, c int64, last bool) (*groupCtx, error) {
-	gc := &groupCtx{cycle: c, snap: ring.at(c), forkFP: mainline.Fingerprint()}
-	if gc.snap == nil {
-		return nil, fmt.Errorf("campaign: no golden snapshot at or before injection cycle %d", c)
+// The mainline must be at cycle c. base is the exact engine's cycle-0
+// snapshot; nil (the fast engine) snapshots the mainline at c.
+//
+// On the fast engine the continuation is armed exactly like a fork at
+// c with an empty fault plane — a fresh NoCAlert engine, ForEVeR's
+// earlier flags cleared — so its own result is the fault-free template,
+// and each injection cycle costs one fault-free simulation.
+func buildGroupCtx(mainline, base *sim.Network, o Options, c int64, last bool) (*groupCtx, error) {
+	// Only post-injection ejections are ever compared; dropping the
+	// prefix keeps it out of the continuation clones.
+	mainline.ResetEjections()
+	gc := &groupCtx{cycle: c, snap: base}
+	if base == nil {
+		gc.snap = mainline.CloneInto(nil, nil)
+	} else if base.Cycle() < c {
+		gc.forkFP = mainline.Fingerprint()
 	}
 
 	cont := mainline
 	if !last {
 		cont = mainline.Clone(nil)
 	}
+	gc.gfv = findForever(cont)
+	if gc.gfv != nil {
+		gc.gfv.ClearDetections()
+	}
+	var eng *core.Engine
 	exact := o.exact()
 	if exact {
 		cont.Run(o.PostInjectRun)
 	} else {
+		eng = core.NewEngine(cont.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
+		cont.AttachMonitor(eng)
 		// Record the golden window: the per-link signal transcript the
 		// divergence frontier replays clean nodes from, and the per-cycle
 		// counters a run whose frontier has emptied compares against.
 		gc.tl = golden.NewTimeline(int(o.PostInjectRun))
-		ejStart := len(cont.Ejections())
 		cont.StartRecording(int(o.PostInjectRun))
 		for t := int64(0); t < o.PostInjectRun; t++ {
 			cont.Step()
-			gc.tl.Observe(cont, cont.Ejections()[ejStart:])
+			gc.tl.Observe(cont, cont.Ejections())
 		}
 		gc.rec = cont.StopRecording()
 		gc.wend = cont.CloneInto(nil, nil)
@@ -663,31 +689,20 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	}
 	gc.goldenLog = golden.FromEjections(cont.Ejections(), c)
 	gc.goldenEjections = gc.goldenLog.Total()
-	gc.gfv = findForever(cont)
-	gc.goldenFvFP = gc.gfv != nil && gc.gfv.FirstDetectionAfter(c) >= 0
+	fd := int64(-1)
+	if gc.gfv != nil {
+		fd = gc.gfv.FirstDetectionAfter(c)
+	}
+	gc.goldenFvFP = fd >= 0
 	if exact {
 		return gc, nil
 	}
 
-	// Fault-free template for the fast path: one full run through the
-	// same per-fault code path — fork, replay, empty fault plane. A run
-	// whose faults provably never fired is bit-identical to this run, so
-	// its result can be copied instead of simulated (slices are shared
-	// read-only across all fast-path results). The template run also
-	// exercises the fork-point fingerprint verification for this cycle
-	// before any faulty run trusts it. It carries the flight recorder
-	// (its fork verification guards every fast-path result at this
-	// cycle) but no span: index -1 is never sampled.
-	var st runStats
-	var tro *runObs
-	if o.FlightRecorder != nil {
-		tro = &runObs{fr: o.FlightRecorder, idx: -1}
-	}
-	tmpl, err := runSlow(tw, gc, o, nil, &st, tro)
-	if err != nil {
-		return nil, err
-	}
-	gc.tmpl = tmpl
+	// Fault-free template for the fast path. A run whose faults provably
+	// never fired is bit-identical to the continuation from the same
+	// state, so its result is copied from this one instead of simulated
+	// (slices are shared read-only across all fast-path results).
+	gc.tmpl = newResult(eng, fault.NewPlane(), nil, golden.Compare(gc.goldenLog, gc.goldenLog, true), true, fd, c)
 
 	// The frontier and reconvergence are only sound when the golden
 	// continuation is clean: no NoCAlert assertion anywhere in the
@@ -699,7 +714,7 @@ func buildGroupCtx(mainline *sim.Network, ring *snapshotRing, tw *worker, o Opti
 	// complete). All of these hold for any sanely configured campaign;
 	// if one does not, fired faults step the full mesh and take the
 	// full path.
-	sound := !gc.tmpl.Detected && gc.tmpl.Drained && gc.tmpl.Verdict.OK()
+	sound := !gc.tmpl.Detected && gc.tmpl.Verdict.OK()
 	if !o.DisableForever {
 		sound = sound && gc.gfv != nil && len(gc.gfv.Detections()) < forever.DetectionCap
 	}
@@ -722,13 +737,6 @@ func foreverHorizon(cycle int64, o forever.Options) int64 {
 	return next + epoch
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func findForever(n *sim.Network) *forever.Monitor {
 	for _, m := range n.Monitors() {
 		if fv, ok := m.(*forever.Monitor); ok {
@@ -738,9 +746,10 @@ func findForever(n *sim.Network) *forever.Monitor {
 	return nil
 }
 
-// runOne executes one fault group's run. The exact engine simulates it
-// end to end (runSlow). The fast engine forks from the nearest golden
-// snapshot at or before its injection cycle and steps the window with
+// runOne executes one fault group's run. The exact engine replays the
+// prefix from the cycle-0 snapshot and simulates the rest end to end on
+// every router, with no exit but the last. The fast engine forks from
+// the golden snapshot at its injection cycle and steps the window with
 // the fault's divergence frontier attached, so only its cone of
 // influence is simulated and every other node is replayed from the
 // golden transcript (see sim.Frontier). Each window cycle checks two
@@ -757,14 +766,11 @@ func findForever(n *sim.Network) *forever.Monitor {
 // the reconvergence latency (cycles after injection); zero for the
 // other exit paths.
 func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs) (res RunResult, exit ExitPath, convCycles int64, st runStats, err error) {
-	if o.exact() {
-		res, err = runSlow(w, gc, o, group, &st, ro)
-		return res, ExitFull, 0, st, err
-	}
 	n, plane, eng, fv, err := beginRun(w, gc, o, group, &st, ro)
 	if err != nil {
 		return res, ExitFull, 0, st, err
 	}
+	fast := !o.exact()
 	var fr *sim.Frontier
 	if gc.rec != nil {
 		seeds := make([]int, 0, len(group))
@@ -777,11 +783,11 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 	fa := ro.phase("fault-armed")
 	for t := int64(0); t < o.PostInjectRun; t++ {
 		n.Step()
-		if n.FaultsInert() {
+		if fast && n.FaultsInert() {
 			res = gc.tmpl
 			res.Fault = group[0]
 			res.Group = group
-			st.simulated = n.Cycle() - gc.snap.cycle
+			st.simulated = n.Cycle() - gc.snap.Cycle()
 			st.horizon = n.Cycle()
 			st.noteFrontier(fr)
 			fa.End()
@@ -795,7 +801,7 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 			continue
 		}
 		ro.event("frontier_empty", n.Cycle(), "reconverged", nil)
-		st.simulated = n.Cycle() - gc.snap.cycle
+		st.simulated = n.Cycle() - gc.snap.Cycle()
 		st.synthesized += gc.cycle + o.PostInjectRun - n.Cycle()
 		st.horizon = gc.cycle + o.PostInjectRun
 		st.noteFrontier(fr)
@@ -813,7 +819,7 @@ func runOne(w *worker, gc *groupCtx, o Options, group []fault.Fault, ro *runObs)
 		fr.MaterializeAll(gc.wend)
 	}
 	res = finishRun(n, eng, fv, plane, gc, o, group, w, &st, ro)
-	st.simulated = n.Cycle() - gc.snap.cycle
+	st.simulated = n.Cycle() - gc.snap.Cycle()
 	return res, ExitFull, 0, st, nil
 }
 
@@ -905,22 +911,6 @@ func newResult(eng *core.Engine, plane *fault.Plane, group []fault.Fault, verdic
 	return res
 }
 
-// runSlow executes one run end to end with no early exit. A nil group
-// runs with an empty fault plane (used to compute the fast-path
-// template).
-func runSlow(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runStats, ro *runObs) (RunResult, error) {
-	n, plane, eng, fv, err := beginRun(w, gc, o, group, st, ro)
-	if err != nil {
-		return RunResult{}, err
-	}
-	fa := ro.phase("fault-armed")
-	n.Run(o.PostInjectRun)
-	fa.End()
-	res := finishRun(n, eng, fv, plane, gc, o, group, w, st, ro)
-	st.simulated = n.Cycle() - gc.snap.cycle
-	return res, nil
-}
-
 // beginRun forks the run's network at its injection cycle (the warm-start
 // phase), arms group's fault plane on it, and attaches a fresh NoCAlert
 // engine; the ForEVeR monitor forked from golden has its detections
@@ -933,8 +923,8 @@ func beginRun(w *worker, gc *groupCtx, o Options, group []fault.Fault, st *runSt
 		ws.End()
 		return nil, nil, nil, nil, err
 	}
-	ws.SetAttr("fork_cycle", gc.snap.cycle)
-	ws.SetAttr("replayed_cycles", gc.cycle-gc.snap.cycle)
+	ws.SetAttr("fork_cycle", gc.snap.Cycle())
+	ws.SetAttr("replayed_cycles", gc.cycle-gc.snap.Cycle())
 	ws.End()
 	eng := core.NewEngine(n.RouterConfig(), core.Options{Disabled: o.CheckersDisabled})
 	n.AttachMonitor(eng)
@@ -1011,7 +1001,7 @@ func finishRun(n *sim.Network, eng *core.Engine, fv *forever.Monitor, plane *fau
 			}
 		}
 		if frozen {
-			st.synthesized += horizon - max64(n.Cycle(), logical)
+			st.synthesized += horizon - max(n.Cycle(), logical)
 			projectUntil = horizon
 		}
 		hz.SetAttr("horizon_cycle", horizon)

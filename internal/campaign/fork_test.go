@@ -7,6 +7,7 @@ import (
 
 	"nocalert/internal/fault"
 	"nocalert/internal/forever"
+	"nocalert/internal/obs"
 	"nocalert/internal/router"
 	"nocalert/internal/sim"
 	"nocalert/internal/topology"
@@ -93,6 +94,70 @@ func TestForkByteIdentity(t *testing.T) {
 				tc.name, onRep.ForkedRuns, len(onRep.Results), onRep.WarmstartCyclesSaved,
 				onRep.SnapshotCount, onRep.SnapshotBytes)
 		})
+	}
+}
+
+// TestManyInjectionCyclesForkWithoutReplay spreads a universe over more
+// distinct injection cycles than a few dozen snapshots would cover. The
+// fast engine must still snapshot every one of them, so no fork replays
+// (no fork_verify event, and every run skips exactly its own prefix),
+// and its report must stay byte-identical to the exact engine's, whose
+// runs all replay from cycle 0.
+func TestManyInjectionCyclesForkWithoutReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign test in -short mode")
+	}
+	cycles := make([]int64, 40)
+	for i := range cycles {
+		cycles[i] = 100 + 10*int64(i)
+	}
+	const ringCap = 4096
+	run := func(exact bool) (*Report, []obs.Event) {
+		o := multiCycleOptions(topology.NewMesh(4, 4), 80, 7, cycles, 200, 2500, 300)
+		o.DisableFastPath = exact
+		o.FlightRecorder = obs.NewFlightRecorder(ringCap, nil)
+		rep, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := o.FlightRecorder.Events()
+		if len(evs) >= ringCap {
+			t.Fatalf("flight recorder wrapped (%d events); the fork_verify count is incomplete", len(evs))
+		}
+		return rep, evs
+	}
+	forkVerifies := func(evs []obs.Event) int {
+		k := 0
+		for _, ev := range evs {
+			if ev.Kind == "fork_verify" {
+				k++
+			}
+		}
+		return k
+	}
+
+	fast, fastEvs := run(false)
+	exact, exactEvs := run(true)
+	if fast.SnapshotCount != len(cycles) {
+		t.Errorf("fast SnapshotCount = %d, want one per distinct injection cycle (%d)", fast.SnapshotCount, len(cycles))
+	}
+	if k := forkVerifies(fastEvs); k != 0 {
+		t.Errorf("fast engine recorded %d fork_verify events; its forks must not replay", k)
+	}
+	var prefixes int64
+	for _, r := range fast.Results {
+		prefixes += r.Fault.Cycle
+	}
+	if fast.WarmstartCyclesSaved != prefixes {
+		t.Errorf("fast WarmstartCyclesSaved = %d, want the sum of injection cycles %d", fast.WarmstartCyclesSaved, prefixes)
+	}
+	// Premise: the recorder does see fork verification when forks replay.
+	if exact.SnapshotCount != 1 || forkVerifies(exactEvs) != len(exact.Results) {
+		t.Errorf("exact engine: %d snapshots and %d fork_verify events, want 1 and %d",
+			exact.SnapshotCount, forkVerifies(exactEvs), len(exact.Results))
+	}
+	if got, want := reportBytes(t, fast), reportBytes(t, exact); !bytes.Equal(got, want) {
+		t.Fatalf("fast and exact reports differ (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

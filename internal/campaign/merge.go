@@ -92,12 +92,8 @@ func MergeShards(shards []*trace.CheckpointData) (*Merged, error) {
 			if records[rec.Index] != nil {
 				return nil, fmt.Errorf("campaign: duplicate record for fault index %d", rec.Index)
 			}
-			f := &universe[rec.Index]
-			if rec.Router != f.Site.Router || rec.Signal != f.Site.Kind.String() ||
-				rec.Port != f.Site.Port || rec.VC != f.Site.VC || rec.Bit != f.Bit ||
-				rec.FaultType != f.Type.String() || rec.Cycle != f.Cycle {
-				return nil, fmt.Errorf("campaign: record %d describes fault %s.bit%d, universe has %v",
-					rec.Index, rec.Signal, rec.Bit, f)
+			if err := checkRecordFault(rec, &universe[rec.Index], "universe"); err != nil {
+				return nil, err
 			}
 			records[rec.Index] = rec
 		}

@@ -39,7 +39,7 @@ const (
 	// forking never simulated, summed over runs.
 	MetricWarmstartSaved = "campaign_warmstart_cycles_saved"
 	// MetricSnapshotBytes is a gauge holding the estimated memory
-	// footprint of the golden snapshot ring.
+	// footprint of the golden snapshots runs fork from.
 	MetricSnapshotBytes = "campaign_snapshot_bytes"
 	// MetricSimulatedCycles counts cycles faulty runs actually stepped
 	// (including fork replay); MetricSynthesizedCycles counts cycles

@@ -13,7 +13,7 @@ import (
 type runObs struct {
 	span *obs.Span
 	fr   *obs.FlightRecorder
-	idx  int // run index in FaultGroups; -1 for the golden template run
+	idx  int // run index in FaultGroups
 }
 
 // phase opens a phase span under the run span (nil when the run span

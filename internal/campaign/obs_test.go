@@ -265,9 +265,9 @@ func TestForkVerifyMismatchDumpsFlightRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(50)
-	snap := snapshot{cycle: n.Cycle(), net: n.CloneInto(nil, nil)}
+	snap := n.CloneInto(nil, nil)
 	n.Run(50)
-	gc := &groupCtx{cycle: n.Cycle(), snap: &snap, forkFP: n.Fingerprint() ^ 0xdead}
+	gc := &groupCtx{cycle: n.Cycle(), snap: snap, forkFP: n.Fingerprint() ^ 0xdead}
 
 	var sink bytes.Buffer
 	fr := obs.NewFlightRecorder(16, &sink)

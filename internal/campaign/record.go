@@ -27,6 +27,19 @@ func ParseOutcome(s string) (Outcome, error) {
 	return 0, fmt.Errorf("campaign: unknown outcome %q", s)
 }
 
+// checkRecordFault returns an error unless rec describes fault f (same
+// site, bit, type and injection cycle): the fault that plan, the shard
+// plan or the re-derived universe, holds at rec's index.
+func checkRecordFault(rec *trace.RunRecord, f *fault.Fault, plan string) error {
+	if rec.Router != f.Site.Router || rec.Signal != f.Site.Kind.String() ||
+		rec.Port != f.Site.Port || rec.VC != f.Site.VC || rec.Bit != f.Bit ||
+		rec.FaultType != f.Type.String() || rec.Cycle != f.Cycle {
+		return fmt.Errorf("campaign: record %d describes fault %s.bit%d, %s has %v",
+			rec.Index, rec.Signal, rec.Bit, plan, f)
+	}
+	return nil
+}
+
 // RecordFor flattens one run result into the NDJSON trace/checkpoint
 // record schema. index is the run's global position in the campaign's
 // fault universe; latencies are -1 when the mechanism never detected.

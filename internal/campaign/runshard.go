@@ -142,12 +142,8 @@ func RunShard(sh *Shard, cp *trace.Checkpoint, completed []trace.RunRecord, o Sh
 		if _, dup := recorded[rec.Index]; dup {
 			return nil, fmt.Errorf("campaign: checkpoint has duplicate record for index %d", rec.Index)
 		}
-		f := &sh.Faults[rec.Index-sh.Start]
-		if rec.Router != f.Site.Router || rec.Signal != f.Site.Kind.String() ||
-			rec.Port != f.Site.Port || rec.VC != f.Site.VC || rec.Bit != f.Bit ||
-			rec.FaultType != f.Type.String() || rec.Cycle != f.Cycle {
-			return nil, fmt.Errorf("campaign: checkpoint record %d describes fault %s.bit%d, shard plan has %v",
-				rec.Index, rec.Signal, rec.Bit, f)
+		if err := checkRecordFault(rec, &sh.Faults[rec.Index-sh.Start], "shard plan"); err != nil {
+			return nil, err
 		}
 		recorded[rec.Index] = rec
 	}

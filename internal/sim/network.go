@@ -511,8 +511,8 @@ func (n *Network) ResetEjections() {
 // ApproxFootprintBytes estimates the memory one full-state snapshot of
 // this network retains: flit-slot capacity for every router buffer plus
 // per-router and per-NI bookkeeping. It is a deterministic,
-// configuration-derived capacity estimate (what the snapshot ring
-// accounts against campaign_snapshot_bytes), not a heap measurement.
+// configuration-derived capacity estimate (what campaign snapshots
+// account against campaign_snapshot_bytes), not a heap measurement.
 func (n *Network) ApproxFootprintBytes() int64 {
 	const (
 		flitBytes   = 96  // flit.Flit plus arena/slice overhead
@@ -526,7 +526,7 @@ func (n *Network) ApproxFootprintBytes() int64 {
 	total := nodes * (perRouter + perNI)
 	// An attached golden signal transcript is part of this network's
 	// retained state; campaigns surface it through the same accounting
-	// the snapshot ring uses.
+	// the snapshots use.
 	total += n.rec.ApproxFootprintBytes()
 	return total
 }
